@@ -1,0 +1,51 @@
+"""Golden reports: SHA-256 digests of small CLI invocations.
+
+The digests were recorded before the code was consolidated into one
+family generator, one exact-check record builder and one monomial-action
+accumulator; refactors must reproduce every report byte for byte.  The
+set covers every command, JSON and CSV, the auto-selected matrix point,
+a degenerate exit 2 and an eps list on the |q| < 1 side.
+"""
+
+import hashlib
+
+import pytest
+
+from krallm1.cli import main
+
+GOLDEN = [
+    ("verify-m1 --beta 1/2 --M -1/4 --n-max 6",
+     0, "855181bb42c9bdcbf067012c5c37e8c20c215f65bf56a94a133c299d14c26112"),
+    ("verify-m1 --beta 3 --M -2 --n-max 4 --format csv",
+     0, "5544ff949ca86874ec1921e045c6e2a32a437da19506ea9db61085ecd9a424f1"),
+    ("verify-m1 --beta 1 --M 1 --n-max 4",
+     2, "1f5e4cd429f6aba0ed90534c17ca42cce224402ef1583a094685b376af751c23"),
+    ("verify-q --q 2 --b 3 --j 2 --M 1/7 --n-max 5",
+     0, "5c081fc461997e19da42d8d22d984701145258c1e67fd73f0160854509c22b95"),
+    ("verify-q --q 1/2 --b -1/3 --M 2 --n-max 4 --format csv",
+     0, "e827533d696bbf34d93c5caee80f2b946d3fa2674a7b9a9f8d72f5ef22eaf57a"),
+    ("moments --beta 1 --M -1 --n-max 6 --format csv",
+     0, "85dd5ed399dae0633b67e20cbc407171b67ab1e8c86820d3c40c1099cb552882"),
+    ("gram --beta 2/3 --M -5/7 --n-max 5",
+     0, "3846ad6df552077ccfea9dcb6a17fabbb1144de1c30a55a725eb3896ce2c133b"),
+    ("gen --family m1 --beta 1/2 --M -1/4 --n-max 5",
+     0, "5bbfa6cdd7f8fb36183f82405fc3503498984a44c6c92d56699205366a5e5769"),
+    ("gen --family q --q 3 --b -2 --j 1 --M 1/5 --n-max 4 --format csv",
+     0, "e3a599953283d9376bcb0a744b1aa02db994effaa7b4c894e0f6ff418863e6f8"),
+    ("limit-scan --beta 3/2 --M -1/3 --n-max 2 --format csv",
+     0, "19b8afdd676cca43c18f0a0cd09450ab725fb9c257944e50f261694a2d27f5f8"),
+    ("limit-scan --eps-list=-1e-2,-1e-3 --beta 1 --M -1 --n-max 1",
+     0, "3c81529215101cd115e3c4f0e431d0f59d8e29b7d12a1ce986bdab33728e9cf0"),
+    ("matrix-verify --n-max 3",
+     0, "6cd9c7d0500eee9eb964b865d366db3a64869e9e96482d0ad8717fec8b291634"),
+    ("matrix-verify --beta 1/2 --M -1/4 --n-max 2 --precision 80 --format csv",
+     0, "855914779810bb8cdcbc26a6684911be68520f035d871d8791020165aca76174"),
+]
+
+
+@pytest.mark.parametrize("line,code,digest", GOLDEN,
+                         ids=[line for line, _, _ in GOLDEN])
+def test_report_digest(line, code, digest, capsys):
+    assert main(line.split()) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
