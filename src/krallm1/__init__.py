@@ -19,20 +19,20 @@ from .exact_core import (DEFAULT_PRECISION, LaurentPoly, PrecisionFloat,
                          qpoch, theta, to_mpf, working_precision)
 from .minus_one import (MinusOneParams, MomentSequence, apply_L0_monomial,
                         apply_L0_operator, base_recurrence_m1, epsilon_scan,
-                        gen_poly_family, gen_poly_m1, gram_matrix,
-                        hankel_dets, inner_product, lambda_tilde, limit_B,
-                        limit_rep_coeff, moments, point_mass,
-                        quadrature_moment_check, transformed_recurrence_m1,
-                        verify_eigen_m1, weight_density)
+                        family_from_chain, gen_poly_family, gen_poly_m1,
+                        gram_matrix, hankel_dets, inner_product,
+                        lambda_tilde, limit_B, limit_rep_coeff, moments,
+                        point_mass, quadrature_moment_check,
+                        transformed_recurrence_m1, weight_density)
 from .matrix_op import (FiveTermCoeffs, MatrixPoly2, d_matrix, e_matrix,
                         find_positive_definite_point, five_term_check,
                         five_term_coeffs, matrix_poly,
                         matrix_recurrence_check, r_nm, split_even_odd)
 from .qjacobi import (ABSENT, QJacobiParams, RepCoeffTable, apply_Lq,
-                      geronimus, geronimus_family, lambda_q, lqj_coeff,
-                      lqj_poly, lqj_recurrence, phi, qn_zero, rep_coeff_paper,
+                      geronimus_family, lambda_q, lqj_coeff, lqj_poly,
+                      lqj_recurrence, phi, qn_zero, rep_coeff_paper,
                       rep_coeff_reconstruct, transformed_recurrence)
-from .report import CheckResult, VerificationReport
+from .report import CheckResult, VerificationReport, exact_check
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 

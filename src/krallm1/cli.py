@@ -15,21 +15,25 @@ import os
 import re
 import sys
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from .errors import (DegenerateParameters, GeronimusDegenerate,
                      InsufficientMoments, IntegrabilityError, KrallM1Error,
-                     NotPositiveDefinite, ResidualExceeded)
+                     NotPositiveDefinite)
 from .exact_core import (DEFAULT_PRECISION, LaurentPoly, format_rational,
                          parse_rational)
 from . import matrix_op, minus_one, qjacobi
 from .minus_one import MinusOneParams
 from .qjacobi import QJacobiParams
-from .report import CheckResult, VerificationReport
+from .report import CheckResult, VerificationReport, exact_check
 
 PRECISION_ENV = "KRALLM1_PRECISION"
 
+# Errors that mean the parameters admit no answer (exit 2), as opposed
+# to a failed check (exit 1).
+DEGENERATE = (GeronimusDegenerate, DegenerateParameters, NotPositiveDefinite,
+              IntegrabilityError, InsufficientMoments)
 COMMANDS = ("gen", "verify-q", "verify-m1", "moments", "gram", "limit-scan",
             "matrix-verify")
 
@@ -61,9 +65,52 @@ class RunConfig:
             parse_rational(text)  # raises on malformed input
 
 
+# Parameter flags of the limit family (m1) and of the q side (q); --j is
+# optional and defaults to 2.
+FAMILY_FLAGS = {"m1": ("beta", "M"), "q": ("q", "b", "j", "M")}
+PARAM_HELP = {"beta": "limit parameter beta (p/q)",
+              "q": "base q (p/q, not 0/1/-1)",
+              "b": "parameter b (p/q, nonzero)",
+              "M": "mass parameter M (p/q)"}
+# A finite decimal, the form every eps entry must take.
+DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
 def parse_tolerance(text: str) -> Fraction:
-    """Exact tolerance from a decimal string such as "1e-40"."""
-    return Fraction(Decimal(text))
+    """Exact tolerance from a finite, nonnegative decimal string such as
+    "1e-40"."""
+    try:
+        value = Decimal(text)
+    except InvalidOperation:
+        raise ValueError(
+            f"--tol expects a decimal number, got {text!r}") from None
+    if not value.is_finite() or value < 0:
+        raise ValueError(f"--tol must be finite and >= 0, got {text!r}")
+    return Fraction(value)
+
+
+def parse_eps_list(text: str) -> list:
+    """Comma-separated eps values, kept as written.
+
+    Empty entries are skipped.  The list must be nonempty, every entry a
+    finite decimal, and consecutive entries distinct and of one sign, so
+    that each convergence order log(dev_i/dev_(i+1))/log(eps_i/eps_(i+1))
+    is defined.
+    """
+    values = [e.strip() for e in text.split(",") if e.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError("needs at least one eps value")
+    for e in values:
+        if not DECIMAL.fullmatch(e):
+            raise argparse.ArgumentTypeError(
+                f"{e!r} is not a finite decimal")
+    for a, b in zip(values, values[1:]):
+        lo, hi = sorted((Decimal(a), Decimal(b)))
+        if lo == hi or lo < 0 < hi:
+            raise argparse.ArgumentTypeError(
+                f"consecutive entries {a} and {b} must differ and share "
+                "a sign")
+    return values
 
 
 def _rational_arg(name):
@@ -84,83 +131,67 @@ def build_parser() -> argparse.ArgumentParser:
                     "pipeline in exact arithmetic.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, beta=False, qside=False, tol_default=None):
-        if beta:
-            p.add_argument("--beta", type=_rational_arg("--beta"),
-                           required=True, help="limit parameter beta (p/q)")
-            p.add_argument("--M", type=_rational_arg("--M"), required=True,
-                           help="mass parameter M (p/q)")
-        if qside:
-            p.add_argument("--q", type=_rational_arg("--q"), required=True,
-                           help="base q (p/q, not 0/1/-1)")
-            p.add_argument("--b", type=_rational_arg("--b"), required=True,
-                           help="parameter b (p/q, nonzero)")
-            p.add_argument("--j", type=int, default=2,
-                           help="exponent j in a = q^j (default 2)")
-            p.add_argument("--M", type=_rational_arg("--M"), required=True,
-                           help="mass parameter M (p/q)")
-        p.add_argument("--n-max", type=int, default=8, dest="n_max",
-                       help="largest degree exercised (default 8)")
-        p.add_argument("--precision", type=int, default=None,
-                       help=f"working digits (default {DEFAULT_PRECISION}, "
-                            f"override with ${PRECISION_ENV})")
-        p.add_argument("--tol", type=str, default=tol_default,
-                       help="tolerance as a decimal string"
-                            + (f" (default {tol_default})" if tol_default
-                               else ""))
+    def add_common(p, flags, *, required=None, n_max=8, tol=None):
+        """Parameter flags, --n-max, --out and --format.  Only the float
+        commands, which pass a default ``tol``, take --precision and --tol."""
+        for flag in flags:
+            if flag == "j":
+                p.add_argument("--j", type=int, default=None,
+                               help="exponent j in a = q^j (default 2)")
+                continue
+            p.add_argument(f"--{flag}", type=_rational_arg(f"--{flag}"),
+                           required=flag in (flags if required is None
+                                             else required),
+                           help=PARAM_HELP[flag])
+        p.add_argument("--n-max", type=int, default=n_max, dest="n_max",
+                       help=f"largest degree exercised (default {n_max})")
+        if tol is not None:
+            p.add_argument("--precision", type=int, default=None,
+                           help=f"working digits (default "
+                                f"{DEFAULT_PRECISION}, override with "
+                                f"${PRECISION_ENV})")
+            p.add_argument("--tol", type=str, default=tol,
+                           help=f"tolerance as a decimal string "
+                                f"(default {tol})")
         p.add_argument("--out", type=str, default=None,
                        help="output file (default stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("gen", help="emit polynomial coefficient tables")
-    p.add_argument("--family", choices=("q", "m1"), required=True)
-    p.add_argument("--beta", type=_rational_arg("--beta"))
-    p.add_argument("--q", type=_rational_arg("--q"))
-    p.add_argument("--b", type=_rational_arg("--b"))
-    p.add_argument("--j", type=int, default=2)
-    p.add_argument("--M", type=_rational_arg("--M"), required=True)
-    p.add_argument("--n-max", type=int, default=8, dest="n_max")
-    p.add_argument("--precision", type=int, default=None)
-    p.add_argument("--tol", type=str, default=None)
-    p.add_argument("--out", type=str, default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--family", choices=tuple(FAMILY_FLAGS), required=True)
+    add_common(p, ("beta", "q", "b", "j", "M"), required=("M",))
 
     p = sub.add_parser("verify-q",
                        help="q-side eigen and reconstruction agreement")
-    add_common(p, qside=True)
+    add_common(p, FAMILY_FLAGS["q"])
 
     p = sub.add_parser("verify-m1",
                        help="limit-family operator, eigen, orthogonality and "
                             "explicit-solution suites")
-    add_common(p, beta=True)
+    add_common(p, FAMILY_FLAGS["m1"])
 
     p = sub.add_parser("moments", help="exact moment table")
-    add_common(p, beta=True)
+    add_common(p, FAMILY_FLAGS["m1"])
 
     p = sub.add_parser("gram", help="exact Gram matrix and Hankel determinants")
-    add_common(p, beta=True)
+    add_common(p, FAMILY_FLAGS["m1"])
 
     p = sub.add_parser("limit-scan",
                        help="epsilon scan of the q side against the limit "
                             "coefficients")
-    add_common(p, beta=True, tol_default="1e-2")
-    p.add_argument("--eps-list", type=str, default="1e-2,1e-3,1e-4",
-                   dest="eps_list",
-                   help="comma-separated decreasing eps values")
+    add_common(p, FAMILY_FLAGS["m1"], tol="1e-2")
+    p.add_argument("--eps-list", type=parse_eps_list,
+                   default="1e-2,1e-3,1e-4", dest="eps_list",
+                   help="comma-separated eps values, consecutive ones "
+                        "distinct and of one sign")
 
     p = sub.add_parser("matrix-verify",
                        help="five-term and matrix three-term recurrence checks")
-    p.add_argument("--beta", type=_rational_arg("--beta"), default=None)
-    p.add_argument("--M", type=_rational_arg("--M"), default=None)
-    p.add_argument("--n-max", type=int, default=4, dest="n_max")
-    p.add_argument("--precision", type=int, default=None)
-    p.add_argument("--tol", type=str, default="1e-40")
-    p.add_argument("--out", type=str, default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    add_common(p, FAMILY_FLAGS["m1"], required=(), n_max=4, tol="1e-40")
 
-    # Bare negative rationals ("-1/4") must parse as option values, not
-    # as option strings.
-    negative_value = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+    # Bare negative rationals ("-1/4") and negative decimals or eps lists
+    # ("-1e-3,-1e-4") must parse as option values, not as option strings.
+    negative_value = re.compile(r"^-[0-9.][0-9.eE+\-/,]*$")
     parser._negative_number_matcher = negative_value
     for child in sub.choices.values():
         child._negative_number_matcher = negative_value
@@ -168,30 +199,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    params = {}
-    for key in ("beta", "M", "q", "b"):
-        value = getattr(args, key, None)
-        if value is not None:
-            params[key] = value
-    precision = args.precision
+    params = {key: str(getattr(args, key))
+              for key in ("beta", "M", "q", "b", "j")
+              if getattr(args, key, None) is not None}
+    precision = getattr(args, "precision", None)
     if precision is None:
         precision = int(os.environ.get(PRECISION_ENV, DEFAULT_PRECISION))
-    eps_list = []
-    if getattr(args, "eps_list", None):
-        eps_list = [e.strip() for e in args.eps_list.split(",") if e.strip()]
-    config = RunConfig(
+    tol = getattr(args, "tol", None)
+    return RunConfig(
         command=args.command,
         params=params,
         n_max=args.n_max,
         precision=precision,
-        tol=parse_tolerance(args.tol) if args.tol else None,
-        eps_list=eps_list,
+        tol=parse_tolerance(tol) if tol is not None else None,
+        eps_list=getattr(args, "eps_list", None) or [],
         output=args.out,
         format=args.format,
         family=getattr(args, "family", None))
-    if getattr(args, "j", None) is not None:
-        config.params["j"] = str(args.j)
-    return config
 
 
 def _m1_params(config: RunConfig) -> MinusOneParams:
@@ -216,16 +240,16 @@ def verify_m1_suite(params: MinusOneParams, n_max: int) -> VerificationReport:
     point = params.as_dict()
     for n in range(n_max + 1):
         xn = LaurentPoly.monomial(n)
-        lhs = minus_one.apply_L0_monomial(xn, params)
-        rhs = minus_one.apply_L0_operator(xn, params)
-        report.add(CheckResult(
-            check="dual-operator", params=point, n=n,
-            status="pass" if lhs == rhs else "fail",
-            lhs=str(lhs), rhs=str(rhs),
-            residual="0" if lhs == rhs else str(lhs - rhs)))
-    for n in range(n_max + 1):
-        report.merge(minus_one.verify_eigen_m1(n, params))
+        report.add(exact_check("dual-operator", point, n,
+                               minus_one.apply_L0_monomial(xn, params),
+                               minus_one.apply_L0_operator(xn, params)))
+    # Built before the moments, so that a degenerate point is reported at
+    # the degree where the recurrence breaks.
     family = minus_one.gen_poly_family(n_max, params)
+    for n, poly in enumerate(family):
+        report.add(exact_check("eigen-m1", point, n,
+                               minus_one.apply_L0_operator(poly, params),
+                               minus_one.lambda_tilde(n, params) * poly))
     momseq = minus_one.moments(2 * n_max, params)
     running_norm = momseq.mu(0)
     for n in range(n_max + 1):
@@ -240,39 +264,22 @@ def verify_m1_suite(params: MinusOneParams, n_max: int) -> VerificationReport:
             residual="" if not offenders else f"pairs {offenders}"))
         if n >= 1:
             running_norm *= minus_one.transformed_recurrence_m1(n, params)[0]
-        norm = minus_one.inner_product(family[n], family[n], momseq)
-        report.add(CheckResult(
-            check="norm-identity", params=point, n=n,
-            status="pass" if norm == running_norm else "fail",
-            lhs=format_rational(norm), rhs=format_rational(running_norm),
-            residual=format_rational(norm - running_norm)))
-    b0 = minus_one.transformed_recurrence_m1(0, params)[1]
-    b0_closed = minus_one.btilde0_closed(params)
-    report.add(CheckResult(
-        check="btilde0-closed-form", params=point, n=0,
-        status="pass" if b0 == b0_closed else "fail",
-        lhs=format_rational(b0), rhs=format_rational(b0_closed),
-        residual=format_rational(b0 - b0_closed)))
+        report.add(exact_check(
+            "norm-identity", point, n,
+            minus_one.inner_product(family[n], family[n], momseq),
+            running_norm))
+    report.add(exact_check("btilde0-closed-form", point, 0,
+                           minus_one.transformed_recurrence_m1(0, params)[1],
+                           minus_one.btilde0_closed(params)))
     for n in (2, 3):
-        if n > n_max:
-            continue
-        expected = minus_one.explicit_solution(n, params)
-        got = family[n]
-        report.add(CheckResult(
-            check="explicit-solution", params=point, n=n,
-            status="pass" if got == expected else "fail",
-            lhs=str(got), rhs=str(expected),
-            residual="0" if got == expected else str(got - expected)))
+        if n <= n_max:
+            report.add(exact_check("explicit-solution", point, n, family[n],
+                                   minus_one.explicit_solution(n, params)))
     for n in (1, 2, 3):
-        if n > n_max:
-            continue
-        lam = minus_one.lambda_tilde(n, params)
-        expected = minus_one.explicit_eigenvalue(n, params)
-        report.add(CheckResult(
-            check="explicit-eigenvalue", params=point, n=n,
-            status="pass" if lam == expected else "fail",
-            lhs=format_rational(lam), rhs=format_rational(expected),
-            residual=format_rational(lam - expected)))
+        if n <= n_max:
+            report.add(exact_check("explicit-eigenvalue", point, n,
+                                   minus_one.lambda_tilde(n, params),
+                                   minus_one.explicit_eigenvalue(n, params)))
     return report
 
 
@@ -298,24 +305,17 @@ def verify_q_suite(params: QJacobiParams, n_max: int) -> VerificationReport:
             lhs="" if not mismatches else str(mismatches),
             rhs="", residual=""))
     family = qjacobi.geronimus_family(n_max, params)
-    for n in range(n_max + 1):
-        lhs = qjacobi.apply_Lq(family[n], recon)
-        rhs = qjacobi.lambda_q(n, params) * family[n]
-        report.add(CheckResult(
-            check="eigen-q", params=point, n=n,
-            status="pass" if lhs == rhs else "fail",
-            lhs=str(lhs), rhs=str(rhs),
-            residual="0" if lhs == rhs else str(lhs - rhs)))
+    for n, poly in enumerate(family):
+        report.add(exact_check("eigen-q", point, n,
+                               qjacobi.apply_Lq(poly, recon),
+                               qjacobi.lambda_q(n, params) * poly))
     x = LaurentPoly.x()
     for n in range(1, n_max):
         un, bn = qjacobi.transformed_recurrence(n, params)
-        lhs = family[n + 1] + bn * family[n] + un * family[n - 1]
-        rhs = x * family[n]
-        report.add(CheckResult(
-            check="transformed-recurrence", params=point, n=n,
-            status="pass" if lhs == rhs else "fail",
-            lhs=str(lhs), rhs=str(rhs),
-            residual="0" if lhs == rhs else str(lhs - rhs)))
+        report.add(exact_check(
+            "transformed-recurrence", point, n,
+            family[n + 1] + bn * family[n] + un * family[n - 1],
+            x * family[n]))
     # The Geronimus data obeys the same three-term recurrence as the
     # polynomials (with Phi_1 = -b_0 Phi_0 - 1 under the unit weight),
     # which checks the second-kind closed form against the recurrence.
@@ -441,45 +441,43 @@ def run(config: RunConfig) -> int:
     """Execute one command; returns the exit status."""
     try:
         return _dispatch(config)
-    except (GeronimusDegenerate, DegenerateParameters, NotPositiveDefinite,
-            IntegrabilityError, InsufficientMoments) as exc:
-        payload = {"status": "degenerate",
-                   "error": {"type": type(exc).__name__,
-                             "message": str(exc)}}
-        if isinstance(exc, GeronimusDegenerate):
-            payload["error"]["n"] = exc.n
-        if isinstance(exc, NotPositiveDefinite):
-            payload["error"]["index"] = exc.index
-        _emit(_render_json(payload), config.output)
-        return 2
-    except ResidualExceeded as exc:
-        payload = {"status": "fail",
-                   "error": {"type": "ResidualExceeded",
-                             "message": str(exc),
-                             "residual": exc.residual,
-                             "location": exc.location}}
-        _emit(_render_json(payload), config.output)
-        return 1
     except KrallM1Error as exc:
-        payload = {"status": "fail",
-                   "error": {"type": type(exc).__name__,
-                             "message": str(exc)}}
-        _emit(_render_json(payload), config.output)
-        return 1
+        degenerate = isinstance(exc, DEGENERATE)
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        error.update({key: getattr(exc, key) for key in
+                      ("n", "index", "residual", "location")
+                      if hasattr(exc, key)})
+        _emit(_render_json({"status": "degenerate" if degenerate else "fail",
+                            "error": error}), config.output)
+        return 2 if degenerate else 1
+
+
+def _flag_problem(config: RunConfig) -> str | None:
+    """Why the parameter flags do not fit the command, or None.  A flag
+    the command would ignore is refused, never silently dropped."""
+    given = config.params
+    if config.command == "gen":
+        takes = FAMILY_FLAGS[config.family]
+        missing = [k for k in takes if k != "j" and k not in given]
+        extra = [k for k in given if k not in takes]
+        for verb, keys in (("requires", missing), ("does not take", extra)):
+            if keys:
+                flags = " ".join(f"--{k}" for k in keys)
+                return f"gen --family {config.family} {verb} {flags}"
+    if config.command == "matrix-verify" and len(given) == 1:
+        other = "M" if "beta" in given else "beta"
+        return f"matrix-verify --{next(iter(given))} requires --{other}"
+    return None
 
 
 def _dispatch(config: RunConfig) -> int:
+    problem = _flag_problem(config)
+    if problem:
+        _emit(_render_json({"status": "error",
+                            "error": {"type": "ConfigError",
+                                      "message": problem}}), config.output)
+        return 2
     if config.command == "gen":
-        need = ("beta", "M") if config.family == "m1" else ("q", "b", "M")
-        missing = [k for k in need if k not in config.params]
-        if missing:
-            flags = " ".join(f"--{k}" for k in missing)
-            _emit(_render_json({
-                "status": "error",
-                "error": {"type": "ConfigError",
-                          "message": f"gen --family {config.family} "
-                                     f"requires {flags}"}}), config.output)
-            return 2
         if config.family == "m1":
             params = _m1_params(config)
             table = _poly_table(
@@ -531,9 +529,9 @@ def _dispatch(config: RunConfig) -> int:
     elif config.command == "limit-scan":
         report = limit_scan_suite(_m1_params(config), config.n_max,
                                   config.eps_list, config.precision,
-                                  config.tol or Fraction(1, 100))
+                                  config.tol)
     elif config.command == "matrix-verify":
-        if "beta" in config.params and "M" in config.params:
+        if config.params:
             params = _m1_params(config)
         else:
             params = matrix_op.find_positive_definite_point(

@@ -132,6 +132,15 @@ class LaurentPoly:
     def monomial(cls, degree: int, coeff=Fraction(1)):
         return cls({degree: coeff})
 
+    @classmethod
+    def from_terms(cls, terms):
+        """Sum of the monomials c*x^d over (d, c) pairs, accumulated in
+        one dictionary instead of one polynomial per term."""
+        out = {}
+        for d, c in terms:
+            out[d] = out.get(d, 0) + c
+        return cls(out)
+
     # -- structure ---------------------------------------------------
 
     def __bool__(self):
@@ -233,17 +242,6 @@ class LaurentPoly:
         for d, c in self.coeffs.items():
             total += c * x ** d
         return total
-
-    # -- serialization --------------------------------------------------
-
-    def to_json_obj(self) -> dict:
-        """JSON form {"degree": "coefficient"} with canonical rationals."""
-        return {str(d): format_rational(c)
-                for d, c in sorted(self.coeffs.items(), reverse=True)}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "LaurentPoly":
-        return cls({int(d): parse_rational(c) for d, c in obj.items()})
 
     def __str__(self):
         if not self.coeffs:

@@ -19,8 +19,8 @@ from .errors import (GeronimusDegenerate, NotPositiveDefinite,
                      ResidualExceeded)
 from .exact_core import (DEFAULT_PRECISION, LaurentPoly, format_float, to_mpf,
                          working_precision)
-from .minus_one import (MinusOneParams, is_positive_definite,
-                        transformed_recurrence_m1)
+from .minus_one import (MinusOneParams, family_from_chain,
+                        is_positive_definite, transformed_recurrence_m1)
 from .report import CheckResult, VerificationReport
 
 
@@ -56,17 +56,6 @@ def _chains(params: MinusOneParams, kmax: int):
     return us, bs
 
 
-def _family_from_chain(us, bs, count: int) -> list:
-    """Monic polynomials generated by an arbitrary recurrence chain."""
-    polys = [LaurentPoly.one()]
-    if count > 1:
-        polys.append(LaurentPoly({1: Fraction(1), 0: -bs[0]}))
-    for k in range(1, count - 1):
-        polys.append(LaurentPoly.x() * polys[k] - bs[k] * polys[k]
-                     - us[k] * polys[k - 1])
-    return polys
-
-
 def _coeffs_from_chain(n: int, us, bs,
                        precision: int) -> FiveTermCoeffs:
     with working_precision(precision):
@@ -84,7 +73,7 @@ def _coeffs_from_chain(n: int, us, bs,
 
 def _f_polys_from_chain(count: int, us, bs, precision: int) -> list:
     """Renormalized even parts F_k = E_k / sigma_k for k < count, in mpf."""
-    family = _family_from_chain(us, bs, count)
+    family = family_from_chain(us, bs, count)
     out = []
     with working_precision(precision):
         sigma = mpf(1)
@@ -164,16 +153,6 @@ class MatrixPoly2:
     row r holds (R_(2,0)(F_(2n+r)), R_(2,1)(F_(2n+r)))."""
 
     entries: list  # [[LaurentPoly, LaurentPoly], [LaurentPoly, LaurentPoly]]
-
-    def to_json_obj(self, digits: int) -> list:
-        return [[{str(d): format_float(c, digits)
-                  for d, c in sorted(e.coeffs.items(), reverse=True)}
-                 for e in row] for row in self.entries]
-
-
-def export_matrix(mat: list, digits: int) -> list:
-    """Numeric 2x2 block as nested arrays of decimal strings."""
-    return [[format_float(v, digits) for v in row] for row in mat]
 
 
 def matrix_poly(n: int, params: MinusOneParams,

@@ -155,18 +155,23 @@ def transformed_recurrence_m1(n: int, params: MinusOneParams):
     return un, bn
 
 
+def family_from_chain(us, bs, count: int) -> list:
+    """Monic polynomials P_0 .. P_(count-1) of the recurrence chain:
+    P_1 = x - b_0,  P_(k+1) = x P_k - b_k P_k - u_k P_(k-1)."""
+    polys = [LaurentPoly.one()]
+    if count > 1:
+        polys.append(LaurentPoly({1: Fraction(1), 0: -bs[0]}))
+    for k in range(1, count - 1):
+        polys.append(LaurentPoly.x() * polys[k] - bs[k] * polys[k]
+                     - us[k] * polys[k - 1])
+    return polys
+
+
 def gen_poly_family(max_n: int, params: MinusOneParams) -> list:
     """Monic transformed polynomials P~_0 .. P~_max_n by forward recurrence."""
-    polys = [LaurentPoly.one()]
-    if max_n == 0:
-        return polys
-    b0 = transformed_recurrence_m1(0, params)[1]
-    polys.append(LaurentPoly({1: Fraction(1), 0: -b0}))
-    for k in range(1, max_n):
-        uk, bk = transformed_recurrence_m1(k, params)
-        polys.append(LaurentPoly.x() * polys[k] - bk * polys[k]
-                     - uk * polys[k - 1])
-    return polys
+    chain = [transformed_recurrence_m1(k, params) for k in range(max_n)]
+    return family_from_chain([u for u, _ in chain], [b for _, b in chain],
+                             max_n + 1)
 
 
 def gen_poly_m1(n: int, params: MinusOneParams) -> LaurentPoly:
@@ -259,12 +264,9 @@ def apply_L0_monomial(p: LaurentPoly, params: MinusOneParams) -> LaurentPoly:
     """
     if not p.is_proper:
         raise ValueError("operator acts on proper polynomials only")
-    out = LaurentPoly.zero()
-    for d, c in p.coeffs.items():
-        for s, bracket in enumerate(_l0_brackets(d, params)):
-            if bracket != 0:
-                out = out + LaurentPoly.monomial(d - s, c * bracket)
-    return out
+    return LaurentPoly.from_terms(
+        (d - s, c * bracket) for d, c in p.coeffs.items()
+        for s, bracket in enumerate(_l0_brackets(d, params)) if bracket != 0)
 
 
 def _l0_coefficient_functions(params: MinusOneParams):
@@ -317,20 +319,6 @@ def apply_L0_operator(p: LaurentPoly, params: MinusOneParams) -> LaurentPoly:
         raise NonPolynomialOutput(
             f"negative-degree coefficients survive: {leftovers}")
     return total
-
-
-def verify_eigen_m1(n: int, params: MinusOneParams) -> VerificationReport:
-    """Check L0 P~_n = lambda~_n P~_n as an exact polynomial identity."""
-    poly = gen_poly_m1(n, params)
-    lhs = apply_L0_operator(poly, params)
-    rhs = lambda_tilde(n, params) * poly
-    report = VerificationReport()
-    report.add(CheckResult(
-        check="eigen-m1", params=params.as_dict(), n=n,
-        status="pass" if lhs == rhs else "fail",
-        lhs=str(lhs), rhs=str(rhs),
-        residual="0" if lhs == rhs else str(lhs - rhs)))
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ All functions are generic over the scalar type: exact Fractions or mpf
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,8 +26,8 @@ from .exact_core import LaurentPoly, format_rational, qpoch
 class QJacobiParams:
     """Parameters (q, b, j, M) with a = q^j hard-wired.
 
-    The classical positivity window 0 < aq < 1, b < 1/q is advisory only
-    (the q -> -1 track deliberately leaves it); see ``in_classical_window``.
+    The classical positivity window 0 < aq < 1, b < 1/q is not enforced:
+    the q -> -1 track deliberately leaves it.
     """
 
     q: object
@@ -48,13 +47,6 @@ class QJacobiParams:
     def a(self):
         return self.q ** self.j
 
-    @property
-    def in_classical_window(self) -> bool:
-        try:
-            return 0 < self.a * self.q < 1 and self.b < 1 / self.q
-        except TypeError:
-            return False
-
     def as_dict(self) -> dict:
         out = {}
         for key in ("q", "b", "M"):
@@ -71,19 +63,15 @@ def _nonzero(value, name):
     return value
 
 
-def lqj_coeff(n: int, s: int, params: QJacobiParams, *, a=None):
+def lqj_coeff(n: int, s: int, params: QJacobiParams):
     """Expansion coefficient B_n^(s) of the monic little q-Jacobi polynomial.
 
     B_n^(s) = b^(-s) (q^-n; q)_s (a^-1 q^-n; q)_s
               / [ (q; q)_s (a^-1 b^-1 q^-2n; q)_s ].
-
-    ``a`` defaults to q^j but a general value may be passed here.
     """
     if not 0 <= s <= n:
         raise ValueError("need 0 <= s <= n")
-    q, b = params.q, params.b
-    if a is None:
-        a = params.a
+    q, b, a = params.q, params.b, params.a
     num = qpoch(q ** (-n), q, s) * qpoch(a ** -1 * q ** (-n), q, s)
     den = _nonzero(qpoch(q, q, s), f"(q;q)_{s}") * _nonzero(
         qpoch(a ** -1 * b ** -1 * q ** (-2 * n), q, s),
@@ -91,35 +79,33 @@ def lqj_coeff(n: int, s: int, params: QJacobiParams, *, a=None):
     return b ** (-s) * num / den
 
 
-def lqj_poly(n: int, params: QJacobiParams, *, a=None) -> LaurentPoly:
+def lqj_poly(n: int, params: QJacobiParams) -> LaurentPoly:
     """Monic little q-Jacobi polynomial sum_s B_n^(s) x^(n-s)."""
-    return LaurentPoly({n - s: lqj_coeff(n, s, params, a=a)
+    return LaurentPoly({n - s: lqj_coeff(n, s, params)
                         for s in range(n + 1)})
 
 
-def lqj_recurrence(n: int, params: QJacobiParams, *, a=None):
+def lqj_recurrence(n: int, params: QJacobiParams):
     """Monic three-term recurrence data (u_n, b_n) for P_(n+1) + b_n P_n
     + u_n P_(n-1) = x P_n, via u_n = A_(n-1) C_n and b_n = A_n + C_n."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    if a is None:
-        a = params.a
-    bn = _lqj_A(n, params, a) + _lqj_C(n, params, a)
+    bn = _lqj_A(n, params) + _lqj_C(n, params)
     if n == 0:
         return 0 * bn, bn  # C_0 = 0, so u_0 = 0 in the scalar's own type
-    un = _lqj_A(n - 1, params, a) * _lqj_C(n, params, a)
+    un = _lqj_A(n - 1, params) * _lqj_C(n, params)
     return un, bn
 
 
-def _lqj_A(n, params, a):
-    q, b = params.q, params.b
+def _lqj_A(n, params):
+    q, b, a = params.q, params.b, params.a
     den = _nonzero(1 - a * b * q ** (2 * n + 1), f"(1-abq^{2 * n + 1})") * \
         _nonzero(1 - a * b * q ** (2 * n + 2), f"(1-abq^{2 * n + 2})")
     return q ** n * (1 - a * q ** (n + 1)) * (1 - a * b * q ** (n + 1)) / den
 
 
-def _lqj_C(n, params, a):
-    q, b = params.q, params.b
+def _lqj_C(n, params):
+    q, b, a = params.q, params.b, params.a
     den = _nonzero(1 - a * b * q ** (2 * n + 1), f"(1-abq^{2 * n + 1})") * \
         _nonzero(1 - a * b * q ** (2 * n), f"(1-abq^{2 * n})")
     return a * q ** n * (1 - q ** n) * (1 - b * q ** n) / den
@@ -175,11 +161,6 @@ def geronimus_family(max_n: int, params: QJacobiParams) -> list:
     return polys
 
 
-def geronimus(n: int, params: QJacobiParams) -> LaurentPoly:
-    """Single transformed polynomial P~_n (monic, degree n)."""
-    return geronimus_family(n, params)[n]
-
-
 def _ratio_B(n: int, params: QJacobiParams):
     """B_n = Phi_n / Phi_(n-1); degenerate when Phi_(n-1) vanishes."""
     lo = phi(n - 1, params)
@@ -231,15 +212,13 @@ ABSENT = _Absent()
 class RepCoeffTable:
     """Monomial-action coefficients A_n^(s) for 0 <= n <= max_n, 0 <= s <= max_s.
 
-    ``entries[(n, s)]`` is a scalar or ABSENT; ``sources[(n, s)]`` is one of
-    "paper", "reconstructed", "zero", "absent".  A_n^(0) is the eigenvalue
+    ``entries[(n, s)]`` is a scalar or ABSENT.  A_n^(0) is the eigenvalue
     of the transformed polynomial of degree n.
     """
 
     max_n: int
     max_s: int
     entries: dict
-    sources: dict
 
     def value(self, n: int, s: int):
         if not (0 <= n <= self.max_n and 0 <= s <= self.max_s):
@@ -251,17 +230,6 @@ class RepCoeffTable:
 
     def absent_pairs(self) -> list:
         return sorted(k for k, v in self.entries.items() if v is ABSENT)
-
-    def to_csv(self, fileobj) -> None:
-        """Columns n, s, value("p/q"), source; absent entries are skipped."""
-        writer = csv.writer(fileobj, lineterminator="\n")
-        writer.writerow(["n", "s", "value", "source"])
-        for (n, s) in sorted(self.entries):
-            v = self.entries[(n, s)]
-            if v is ABSENT:
-                continue
-            text = format_rational(v) if isinstance(v, (Fraction, int)) else str(v)
-            writer.writerow([n, s, text, self.sources[(n, s)]])
 
 
 def lambda_q(n: int, params: QJacobiParams):
@@ -301,25 +269,20 @@ def rep_coeff_paper(params: QJacobiParams, max_n: int) -> RepCoeffTable:
     """
     j = params.j
     max_s = max_n
-    entries, sources = {}, {}
+    entries = {}
     for n in range(max_n + 1):
         for s in range(max_s + 1):
             if s > n or s >= j + 2:
                 entries[(n, s)] = Fraction(0)
-                sources[(n, s)] = "zero"
             elif s == 0:
                 entries[(n, s)] = lambda_q(n, params)
-                sources[(n, s)] = "paper"
             elif s == 1:
                 entries[(n, s)] = _paper_a1(n, params)
-                sources[(n, s)] = "paper"
             elif s == 2:
                 entries[(n, s)] = _paper_a2(n, params)
-                sources[(n, s)] = "paper"
             else:
                 entries[(n, s)] = ABSENT
-                sources[(n, s)] = "absent"
-    return RepCoeffTable(max_n, max_s, entries, sources)
+    return RepCoeffTable(max_n, max_s, entries)
 
 
 def rep_coeff_reconstruct(params: QJacobiParams, max_n: int) -> RepCoeffTable:
@@ -337,7 +300,7 @@ def rep_coeff_reconstruct(params: QJacobiParams, max_n: int) -> RepCoeffTable:
     family = geronimus_family(max_n, params)
     lambdas = [lambda_q(n, params) for n in range(max_n + 1)]
     max_s = max_n
-    entries, sources = {}, {}
+    entries = {}
     for n in range(max_n + 1):
         bt = {n - d: c for d, c in family[n].coeffs.items()}
         for r in range(n + 1):
@@ -347,11 +310,9 @@ def rep_coeff_reconstruct(params: QJacobiParams, max_n: int) -> RepCoeffTable:
                 if bs is not None:
                     acc = acc - bs * entries[(n - s, r - s)]
             entries[(n, r)] = acc
-            sources[(n, r)] = "paper" if r == 0 else "reconstructed"
         for s in range(n + 1, max_s + 1):
             entries[(n, s)] = Fraction(0)
-            sources[(n, s)] = "zero"
-    return RepCoeffTable(max_n, max_s, entries, sources)
+    return RepCoeffTable(max_n, max_s, entries)
 
 
 def apply_Lq(p: LaurentPoly, table: RepCoeffTable) -> LaurentPoly:
@@ -360,16 +321,10 @@ def apply_Lq(p: LaurentPoly, table: RepCoeffTable) -> LaurentPoly:
         raise ValueError("operator acts on proper polynomials only")
     if p and p.degree > table.max_n:
         raise IncompleteTable([(p.degree, 0)])
-    missing = []
-    out = LaurentPoly.zero()
-    for m, c in p.coeffs.items():
-        for s in range(m + 1):
-            v = table.value(m, s)
-            if v is ABSENT:
-                missing.append((m, s))
-                continue
-            if v != 0:
-                out = out + LaurentPoly.monomial(m - s, c * v)
+    missing = sorted((m, s) for m in p.coeffs for s in range(m + 1)
+                     if table.value(m, s) is ABSENT)
     if missing:
-        raise IncompleteTable(sorted(missing))
-    return out
+        raise IncompleteTable(missing)
+    return LaurentPoly.from_terms(
+        (m - s, c * v) for m, c in p.coeffs.items() for s in range(m + 1)
+        if (v := table.value(m, s)) != 0)

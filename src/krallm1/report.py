@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .exact_core import LaurentPoly, format_rational
+
 
 @dataclass
 class CheckResult:
@@ -32,6 +34,20 @@ class CheckResult:
             "rhs": self.rhs,
             "residual": self.residual,
         }
+
+
+def exact_check(check: str, params: dict, n: int, lhs, rhs) -> CheckResult:
+    """Record of the exact identity lhs == rhs over polynomials or rationals.
+
+    Both sides print through ``str`` (polynomials) or ``format_rational``;
+    the residual is "0" on a pass and lhs - rhs on a fail.
+    """
+    fmt = str if isinstance(lhs, LaurentPoly) else format_rational
+    ok = lhs == rhs
+    return CheckResult(check=check, params=params, n=n,
+                       status="pass" if ok else "fail",
+                       lhs=fmt(lhs), rhs=fmt(rhs),
+                       residual="0" if ok else fmt(lhs - rhs))
 
 
 @dataclass

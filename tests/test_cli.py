@@ -41,7 +41,7 @@ def test_config_rejects_malformed_rational():
 
 def test_precision_env_override(monkeypatch):
     parser = build_parser()
-    args = parser.parse_args(["moments", "--beta", "1", "--M", "-1"])
+    args = parser.parse_args(["limit-scan", "--beta", "1", "--M", "-1"])
     monkeypatch.setenv("KRALLM1_PRECISION", "45")
     assert config_from_args(args).precision == 45
     monkeypatch.delenv("KRALLM1_PRECISION")
@@ -52,6 +52,46 @@ def test_argparse_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["verify-m1", "--beta", "1"])
     assert err.value.code == 2
+
+
+M1 = ["--beta", "1", "--M", "-1"]
+SCAN = ["limit-scan", *M1, "--n-max", "1"]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (SCAN + ["--eps-list", "abc"], "--eps-list"),
+    (SCAN + ["--eps-list", ","], "--eps-list"),
+    (SCAN + ["--eps-list", "1e-2,1e-2"], "--eps-list"),
+    (SCAN + ["--eps-list", "1e-2,-1e-3"], "--eps-list"),
+    (SCAN + ["--tol", "abc"], "--tol"),
+    (SCAN + ["--tol", "inf"], "--tol"),
+    (SCAN + ["--tol", "-1e-3"], "--tol"),
+    (["matrix-verify", "--beta", "1"], "--M"),
+    (["matrix-verify", "--M", "-1"], "--beta"),
+    (["gen", "--family", "m1", *M1, "--q", "2"], "--q"),
+    (["gen", "--family", "m1", *M1, "--b", "3"], "--b"),
+    (["gen", "--family", "m1", *M1, "--j", "3"], "--j"),
+    (["gen", "--family", "q", "--q", "2", "--b", "3", "--M", "1/7",
+      "--beta", "1"], "--beta"),
+    (["verify-m1", *M1, "--precision", "80"], "--precision"),
+], ids=" ".join)
+def test_bad_input_exits_two_without_traceback(argv, flag, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse usage error
+        code = exc.code
+        assert flag in capsys.readouterr().err
+    else:
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "ConfigError"
+        assert flag in error["message"]
+    assert code == 2
+
+
+def test_negative_eps_list_parses_without_equals(capsys):
+    code, out = run_cli(SCAN + ["--eps-list", "-1e-2,-1e-3"], capsys)
+    assert code == 0
+    assert json.loads(out)["status"] == "pass"
 
 
 # -- tables ----------------------------------------------------------------------

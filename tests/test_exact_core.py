@@ -151,13 +151,6 @@ def test_power_and_eval():
     assert LaurentPoly.monomial(-2)(F(1, 2)) == 4
 
 
-def test_json_round_trip():
-    p = LaurentPoly({2: F(1), 0: F(-1, 2), -1: F(3, 4)})
-    obj = p.to_json_obj()
-    assert obj == {"2": "1", "0": "-1/2", "-1": "3/4"}
-    assert LaurentPoly.from_json_obj(obj) == p
-
-
 @given(laurent_st(), laurent_st(), laurent_st())
 @settings(max_examples=80)
 def test_ring_axioms(a, b, c):

@@ -13,9 +13,8 @@ from krallm1 import (LaurentPoly, MinusOneParams, NotPositiveDefinite,
                      five_term_coeffs, gen_poly_family, matrix_poly,
                      matrix_recurrence_check, r_nm, split_even_odd, to_mpf,
                      transformed_recurrence_m1, working_precision)
-from krallm1.matrix_op import (_chains, _coeffs_from_chain,
-                               _family_from_chain, _five_term_residual,
-                               export_matrix)
+from krallm1.matrix_op import _chains, _coeffs_from_chain, _five_term_residual
+from krallm1.minus_one import family_from_chain
 
 F = Fraction
 
@@ -91,7 +90,7 @@ def test_not_positive_definite_point():
 
 def test_family_from_chain_matches_generator():
     us, bs = _chains(POINT, 6)
-    assert _family_from_chain(us, bs, 7) == gen_poly_family(6, POINT)
+    assert family_from_chain(us, bs, 7) == gen_poly_family(6, POINT)
 
 
 def test_five_term_scaling_invariance():
@@ -181,12 +180,3 @@ def test_matrix_recurrence_residual_exceeded():
         matrix_recurrence_check(2, POINT, tol=F(1, 10 ** 99), precision=60)
     assert err.value.location
 
-
-def test_matrix_export_shape():
-    with working_precision(60):
-        obj = matrix_poly(1, POINT).to_json_obj(30)
-        block = export_matrix(d_matrix(1, POINT), 30)
-    assert len(obj) == 2 and len(obj[0]) == 2
-    assert isinstance(obj[0][0], dict)
-    assert block[0][1] == "0.0"
-    assert all(isinstance(v, str) for row in block for v in row)

@@ -15,7 +15,7 @@ from krallm1 import (DegenerateParameters, GeronimusDegenerate,
                      gram_matrix, hankel_dets, inner_product, lambda_tilde,
                      limit_B, limit_rep_coeff, moments, point_mass,
                      quadrature_moment_check, transformed_recurrence_m1,
-                     verify_eigen_m1, weight_density, working_precision)
+                     weight_density, working_precision)
 from krallm1.minus_one import (btilde0_closed, explicit_eigenvalue,
                                explicit_solution)
 from conftest import random_m1_params
@@ -178,13 +178,6 @@ def test_dual_operator_property(coeffs, beta, M):
     params = MinusOneParams(beta=beta, M=M)
     p = LaurentPoly(coeffs)
     assert apply_L0_monomial(p, params) == apply_L0_operator(p, params)
-
-
-def test_eigen_verification():
-    for params in (HALF, MinusOneParams(beta=F(3), M=F(-2))):
-        for n in range(13):
-            report = verify_eigen_m1(n, params)
-            assert report.ok, report.to_json()
 
 
 # -- moments and orthogonality ----------------------------------------------------
