@@ -1,10 +1,13 @@
 """Golden reports: SHA-256 digests of small CLI invocations.
 
-The digests were recorded before the code was consolidated into one
-family generator, one exact-check record builder and one monomial-action
-accumulator; refactors must reproduce every report byte for byte.  The
-set covers every command, JSON and CSV, the auto-selected matrix point,
-a degenerate exit 2 and an eps list on the |q| < 1 side.
+The first thirteen digests were recorded before the code was
+consolidated into one family generator, one exact-check record builder
+and one monomial-action accumulator; refactors must reproduce every
+report byte for byte.  The set covers every command, JSON and CSV, the
+auto-selected matrix point, a degenerate exit 2 and an eps list on the
+|q| < 1 side.  The rest cover each table command in the format the
+first thirteen miss, a ConfigError payload, a degenerate q point, a
+matrix residual failure (exit 1) and a zero scan tolerance.
 """
 
 import hashlib
@@ -40,6 +43,24 @@ GOLDEN = [
      0, "6cd9c7d0500eee9eb964b865d366db3a64869e9e96482d0ad8717fec8b291634"),
     ("matrix-verify --beta 1/2 --M -1/4 --n-max 2 --precision 80 --format csv",
      0, "855914779810bb8cdcbc26a6684911be68520f035d871d8791020165aca76174"),
+    # Recorded before argument parsing and dispatch were folded into
+    # argparse and one command table.
+    ("gram --beta 1 --M -1 --n-max 3 --format csv",
+     0, "6d8c1c5e1dc12580cdad83f4e76a438740f8f6a1f4ace0d1cda8ee9dd005629c"),
+    ("moments --beta 1/2 --M -1/4 --n-max 5",
+     0, "f925f56a8956f828bb38196a59898dda53cb5ce6f7b06fab41694f849296f8a1"),
+    ("gen --family m1 --beta 1 --M -1 --n-max 3 --format csv",
+     0, "7f6efea7c0931ffd58c6c3eed33124602c4117b5fcf1838584bcadff37306ca3"),
+    ("gen --family q --q 2 --b 3 --M 1/7 --n-max 3",
+     0, "26097ff5cf3f9d3230b57cf04fe823760aa8ee0a694cde3b049e10cf8720af95"),
+    ("matrix-verify --beta 1",
+     2, "8eea5cfaedc496992944c1635e82e929bf9a09bb66846b72a0e0d2ffdc386369"),
+    ("verify-q --q 1 --b 3 --M 1/7",
+     2, "ebc3323505f5539262b3d16d4e989e7778fe838b516f0a8e1bd6df30a599c788"),
+    ("matrix-verify --n-max 1 --tol 1e-99",
+     1, "262d38ec6d152900271d77ff0e1afa5c2dba722e71f5e1d16c53adcd46c24dd2"),
+    ("limit-scan --beta 1 --M -1 --n-max 1 --tol 0 --format csv",
+     1, "8a2bd0ed7ba4cb5247fa68d646dab5c50a8a4847fecfb4aec63fd3466b7fe303"),
 ]
 
 
