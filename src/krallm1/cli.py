@@ -1,7 +1,9 @@
 """Command-line front end: generation, verification sweeps, data export.
 
 Exit status contract: 0 when every check passes, 1 when a check fails,
-2 on degenerate-parameter errors (including Geronimus degeneracy).
+2 on degenerate-parameter errors (including Geronimus degeneracy), on a
+ConfigError (a parameter flag the command would not read) and on usage
+errors (a malformed or out-of-range value, an unwritable --out).
 Identical configurations produce byte-identical report files.
 """
 
@@ -11,10 +13,8 @@ import argparse
 import csv
 import io
 import json
-import os
 import re
 import sys
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
@@ -28,42 +28,10 @@ from .minus_one import MinusOneParams
 from .qjacobi import QJacobiParams
 from .report import CheckResult, VerificationReport, exact_check
 
-PRECISION_ENV = "KRALLM1_PRECISION"
-
 # Errors that mean the parameters admit no answer (exit 2), as opposed
 # to a failed check (exit 1).
 DEGENERATE = (GeronimusDegenerate, DegenerateParameters, NotPositiveDefinite,
               IntegrabilityError, InsufficientMoments)
-COMMANDS = ("gen", "verify-q", "verify-m1", "moments", "gram", "limit-scan",
-            "matrix-verify")
-
-
-@dataclass
-class RunConfig:
-    """Validated invocation: command, parameter strings, bounds, output."""
-
-    command: str
-    params: dict
-    n_max: int
-    precision: int
-    tol: Fraction | None
-    eps_list: list
-    output: str | None
-    format: str
-    family: str | None = None
-
-    def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise ValueError(f"unknown command {self.command!r}")
-        if self.n_max < 0:
-            raise ValueError("n-max must be >= 0")
-        if self.precision < 30:
-            raise ValueError("precision must be >= 30 digits")
-        if self.format not in ("json", "csv"):
-            raise ValueError("format must be json or csv")
-        for key, text in self.params.items():
-            parse_rational(text)  # raises on malformed input
-
 
 # Parameter flags of the limit family (m1) and of the q side (q); --j is
 # optional and defaults to 2.
@@ -82,10 +50,11 @@ def parse_tolerance(text: str) -> Fraction:
     try:
         value = Decimal(text)
     except InvalidOperation:
-        raise ValueError(
-            f"--tol expects a decimal number, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expects a decimal number, got {text!r}") from None
     if not value.is_finite() or value < 0:
-        raise ValueError(f"--tol must be finite and >= 0, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"must be finite and >= 0, got {text!r}")
     return Fraction(value)
 
 
@@ -113,15 +82,21 @@ def parse_eps_list(text: str) -> list:
     return values
 
 
-def _rational_arg(name):
-    def convert(text):
-        try:
-            parse_rational(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise argparse.ArgumentTypeError(
-                f"{name} expects an integer or p/q rational: {exc}")
-        return text
-    return convert
+def _rational_arg(text: str) -> Fraction:
+    try:
+        return parse_rational(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(
+            f"expects an integer or p/q rational: {exc}") from None
+
+
+def _int_at_least(low: int):
+    def integer(text):  # argparse reports a ValueError as "invalid integer"
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -139,20 +114,21 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument("--j", type=int, default=None,
                                help="exponent j in a = q^j (default 2)")
                 continue
-            p.add_argument(f"--{flag}", type=_rational_arg(f"--{flag}"),
+            p.add_argument(f"--{flag}", type=_rational_arg,
                            required=flag in (flags if required is None
                                              else required),
                            help=PARAM_HELP[flag])
-        p.add_argument("--n-max", type=int, default=n_max, dest="n_max",
+        p.add_argument("--n-max", type=_int_at_least(0), default=n_max,
+                       dest="n_max",
                        help=f"largest degree exercised (default {n_max})")
         if tol is not None:
-            p.add_argument("--precision", type=int, default=None,
-                           help=f"working digits (default "
-                                f"{DEFAULT_PRECISION}, override with "
-                                f"${PRECISION_ENV})")
-            p.add_argument("--tol", type=str, default=tol,
-                           help=f"tolerance as a decimal string "
-                                f"(default {tol})")
+            p.add_argument("--precision", type=_int_at_least(30),
+                           default=DEFAULT_PRECISION,
+                           help=f"working digits, at least 30 (default "
+                                f"{DEFAULT_PRECISION})")
+            p.add_argument("--tol", type=parse_tolerance, default=tol,
+                           help=f"tolerance as a finite, nonnegative "
+                                f"decimal string (default {tol})")
         p.add_argument("--out", type=str, default=None,
                        help="output file (default stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -198,36 +174,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    params = {key: str(getattr(args, key))
-              for key in ("beta", "M", "q", "b", "j")
-              if getattr(args, key, None) is not None}
-    precision = getattr(args, "precision", None)
-    if precision is None:
-        precision = int(os.environ.get(PRECISION_ENV, DEFAULT_PRECISION))
-    tol = getattr(args, "tol", None)
-    return RunConfig(
-        command=args.command,
-        params=params,
-        n_max=args.n_max,
-        precision=precision,
-        tol=parse_tolerance(tol) if tol is not None else None,
-        eps_list=getattr(args, "eps_list", None) or [],
-        output=args.out,
-        format=args.format,
-        family=getattr(args, "family", None))
+def config_from_args(args: argparse.Namespace):
+    """The parameter point of a parsed command line, and why its flags do
+    not fit the command (or None).
 
-
-def _m1_params(config: RunConfig) -> MinusOneParams:
-    return MinusOneParams(beta=parse_rational(config.params["beta"]),
-                          M=parse_rational(config.params["M"]))
-
-
-def _q_params(config: RunConfig) -> QJacobiParams:
-    return QJacobiParams(q=parse_rational(config.params["q"]),
-                         b=parse_rational(config.params["b"]),
-                         j=int(config.params.get("j", "2")),
-                         M=parse_rational(config.params["M"]))
+    The point is a MinusOneParams, a QJacobiParams, or None when
+    matrix-verify picks its own point.  A flag the command would ignore
+    is refused, never silently dropped.  A degenerate q point raises
+    DegenerateParameters.
+    """
+    given = [k for k in ("beta", "M", "q", "b", "j")
+             if getattr(args, k, None) is not None]
+    family = getattr(args, "family",
+                     "q" if args.command == "verify-q" else "m1")
+    if args.command == "gen":
+        takes = FAMILY_FLAGS[family]
+        missing = [k for k in takes if k != "j" and k not in given]
+        extra = [k for k in given if k not in takes]
+        for verb, keys in (("requires", missing), ("does not take", extra)):
+            if keys:
+                flags = " ".join(f"--{k}" for k in keys)
+                return None, f"gen --family {family} {verb} {flags}"
+    if args.command == "matrix-verify" and len(given) < 2:
+        if not given:
+            return None, None
+        other = "M" if given == ["beta"] else "beta"
+        return None, f"matrix-verify --{given[0]} requires --{other}"
+    if family == "m1":
+        return MinusOneParams(beta=args.beta, M=args.M), None
+    return QJacobiParams(q=args.q, b=args.b,
+                         j=2 if args.j is None else args.j, M=args.M), None
 
 
 # ---------------------------------------------------------------------------
@@ -317,25 +293,17 @@ def verify_q_suite(params: QJacobiParams, n_max: int) -> VerificationReport:
             family[n + 1] + bn * family[n] + un * family[n - 1],
             x * family[n]))
     # The Geronimus data obeys the same three-term recurrence as the
-    # polynomials (with Phi_1 = -b_0 Phi_0 - 1 under the unit weight),
+    # polynomials, seeded by Phi_1 = -b_0 Phi_0 - 1 under the unit weight,
     # which checks the second-kind closed form against the recurrence.
     phis = [qjacobi.phi(n, params) for n in range(n_max + 1)]
-    b0 = qjacobi.lqj_recurrence(0, params)[1]
-    seeded = phis[1] == -b0 * phis[0] - 1
-    report.add(CheckResult(
-        check="second-kind-seed", params=point, n=1,
-        status="pass" if seeded else "fail",
-        lhs=format_rational(phis[1]),
-        rhs=format_rational(-b0 * phis[0] - 1),
-        residual=""))
-    for n in range(1, n_max):
+    for n in range(n_max):
         un, bn = qjacobi.lqj_recurrence(n, params)
-        ok = phis[n + 1] == -bn * phis[n] - un * phis[n - 1]
+        rhs = -bn * phis[n] - (un * phis[n - 1] if n else 1)
         report.add(CheckResult(
-            check="second-kind-recurrence", params=point, n=n,
-            status="pass" if ok else "fail",
-            lhs=format_rational(phis[n + 1]),
-            rhs=format_rational(-bn * phis[n] - un * phis[n - 1]),
+            check="second-kind-recurrence" if n else "second-kind-seed",
+            params=point, n=n or 1,
+            status="pass" if phis[n + 1] == rhs else "fail",
+            lhs=format_rational(phis[n + 1]), rhs=format_rational(rhs),
             residual=""))
     return report
 
@@ -372,30 +340,51 @@ def limit_scan_suite(params: MinusOneParams, n_max: int, eps_list,
 
 
 # ---------------------------------------------------------------------------
-# Table builders
+# Table builders: (JSON object, CSV header, CSV rows)
 # ---------------------------------------------------------------------------
 
-def _poly_table(family, params_dict, family_name):
-    rows = []
-    for n, poly in enumerate(family):
-        for d in sorted(poly.coeffs, reverse=True):
-            rows.append((n, d, format_rational(poly.coeffs[d])))
-    return {"family": family_name, "params": params_dict, "rows": rows}
+def _gen_table(point, args):
+    generate = (minus_one.gen_poly_family if args.family == "m1"
+                else qjacobi.geronimus_family)
+    rows = [(n, d, format_rational(poly.coeffs[d]))
+            for n, poly in enumerate(generate(args.n_max, point))
+            for d in sorted(poly.coeffs, reverse=True)]
+    return ({"family": args.family, "params": point.as_dict(),
+             "rows": [{"n": n, "degree": d, "coefficient": c}
+                      for (n, d, c) in rows]},
+            ["n", "degree", "coefficient"], rows)
 
 
-def _moment_table(params: MinusOneParams, n_max: int):
-    seq = minus_one.moments(n_max, params)
-    return {"params": params.as_dict(),
-            "moments": [format_rational(v) for v in seq.values]}
+def _moment_table(point, args):
+    values = [format_rational(v)
+              for v in minus_one.moments(args.n_max, point).values]
+    return ({"params": point.as_dict(), "moments": values},
+            ["n", "value"], list(enumerate(values)))
 
 
-def _gram_table(params: MinusOneParams, n_max: int):
-    gram = minus_one.gram_matrix(n_max, params)
-    hankel = minus_one.hankel_dets(n_max, params)
-    return {"params": params.as_dict(),
-            "gram": [[format_rational(v) for v in row] for row in gram],
-            "hankel": [format_rational(v) for v in hankel],
-            "positive_definite": all(v > 0 for v in hankel)}
+def _gram_table(point, args):
+    gram = [[format_rational(v) for v in row]
+            for row in minus_one.gram_matrix(args.n_max, point)]
+    hankel = minus_one.hankel_dets(args.n_max, point)
+    hankel_text = [format_rational(v) for v in hankel]
+    rows = [["gram", i, j, v] for i, row in enumerate(gram)
+            for j, v in enumerate(row)]
+    rows += [["hankel", m, "", v] for m, v in enumerate(hankel_text)]
+    return ({"params": point.as_dict(), "gram": gram, "hankel": hankel_text,
+             "positive_definite": all(v > 0 for v in hankel)},
+            ["kind", "i", "j", "value"], rows)
+
+
+TABLES = {"gen": _gen_table, "moments": _moment_table, "gram": _gram_table}
+SUITES = {
+    "verify-m1": lambda point, args: verify_m1_suite(point, args.n_max),
+    "verify-q": lambda point, args: verify_q_suite(point, args.n_max),
+    "limit-scan": lambda point, args: limit_scan_suite(
+        point, args.n_max, args.eps_list, args.precision, args.tol),
+    "matrix-verify": lambda point, args: matrix_suite(
+        point or matrix_op.find_positive_definite_point(2 * args.n_max + 4),
+        args.n_max, args.tol, args.precision),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -437,10 +426,25 @@ def _emit(text: str, output: str | None) -> None:
 # Entry point
 # ---------------------------------------------------------------------------
 
-def run(config: RunConfig) -> int:
-    """Execute one command; returns the exit status."""
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed command; returns the exit status."""
+    csv_format = args.format == "csv"
     try:
-        return _dispatch(config)
+        point, problem = config_from_args(args)
+        if problem:
+            _emit(_render_json({"status": "error",
+                                "error": {"type": "ConfigError",
+                                          "message": problem}}), args.out)
+            return 2
+        if args.command in TABLES:
+            obj, header, rows = TABLES[args.command](point, args)
+            _emit(_render_csv_rows(header, rows) if csv_format
+                  else _render_json(obj), args.out)
+            return 0
+        report = SUITES[args.command](point, args)
+        _emit(_report_csv(report) if csv_format
+              else _render_json(report.to_json_obj()), args.out)
+        return 0 if report.ok else 1
     except KrallM1Error as exc:
         degenerate = isinstance(exc, DEGENERATE)
         error = {"type": type(exc).__name__, "message": str(exc)}
@@ -448,114 +452,19 @@ def run(config: RunConfig) -> int:
                       ("n", "index", "residual", "location")
                       if hasattr(exc, key)})
         _emit(_render_json({"status": "degenerate" if degenerate else "fail",
-                            "error": error}), config.output)
+                            "error": error}), args.out)
         return 2 if degenerate else 1
-
-
-def _flag_problem(config: RunConfig) -> str | None:
-    """Why the parameter flags do not fit the command, or None.  A flag
-    the command would ignore is refused, never silently dropped."""
-    given = config.params
-    if config.command == "gen":
-        takes = FAMILY_FLAGS[config.family]
-        missing = [k for k in takes if k != "j" and k not in given]
-        extra = [k for k in given if k not in takes]
-        for verb, keys in (("requires", missing), ("does not take", extra)):
-            if keys:
-                flags = " ".join(f"--{k}" for k in keys)
-                return f"gen --family {config.family} {verb} {flags}"
-    if config.command == "matrix-verify" and len(given) == 1:
-        other = "M" if "beta" in given else "beta"
-        return f"matrix-verify --{next(iter(given))} requires --{other}"
-    return None
-
-
-def _dispatch(config: RunConfig) -> int:
-    problem = _flag_problem(config)
-    if problem:
-        _emit(_render_json({"status": "error",
-                            "error": {"type": "ConfigError",
-                                      "message": problem}}), config.output)
-        return 2
-    if config.command == "gen":
-        if config.family == "m1":
-            params = _m1_params(config)
-            table = _poly_table(
-                minus_one.gen_poly_family(config.n_max, params),
-                params.as_dict(), "m1")
-        else:
-            params = _q_params(config)
-            table = _poly_table(
-                qjacobi.geronimus_family(config.n_max, params),
-                params.as_dict(), "q")
-        if config.format == "csv":
-            _emit(_render_csv_rows(["n", "degree", "coefficient"],
-                                   table["rows"]), config.output)
-        else:
-            table["rows"] = [
-                {"n": n, "degree": d, "coefficient": c}
-                for (n, d, c) in table["rows"]]
-            _emit(_render_json(table), config.output)
-        return 0
-
-    if config.command == "moments":
-        table = _moment_table(_m1_params(config), config.n_max)
-        if config.format == "csv":
-            rows = list(enumerate(table["moments"]))
-            _emit(_render_csv_rows(["n", "value"], rows), config.output)
-        else:
-            _emit(_render_json(table), config.output)
-        return 0
-
-    if config.command == "gram":
-        table = _gram_table(_m1_params(config), config.n_max)
-        if config.format == "csv":
-            rows = []
-            for i, row in enumerate(table["gram"]):
-                for j, v in enumerate(row):
-                    rows.append(["gram", i, j, v])
-            for m, v in enumerate(table["hankel"]):
-                rows.append(["hankel", m, "", v])
-            _emit(_render_csv_rows(["kind", "i", "j", "value"], rows),
-                  config.output)
-        else:
-            _emit(_render_json(table), config.output)
-        return 0
-
-    if config.command == "verify-m1":
-        report = verify_m1_suite(_m1_params(config), config.n_max)
-    elif config.command == "verify-q":
-        report = verify_q_suite(_q_params(config), config.n_max)
-    elif config.command == "limit-scan":
-        report = limit_scan_suite(_m1_params(config), config.n_max,
-                                  config.eps_list, config.precision,
-                                  config.tol)
-    elif config.command == "matrix-verify":
-        if config.params:
-            params = _m1_params(config)
-        else:
-            params = matrix_op.find_positive_definite_point(
-                2 * config.n_max + 4)
-        report = matrix_suite(params, config.n_max, config.tol,
-                              config.precision)
-    else:  # pragma: no cover - RunConfig already validated the command
-        raise ValueError(config.command)
-
-    if config.format == "csv":
-        _emit(_report_csv(report), config.output)
-    else:
-        _emit(_render_json(report.to_json_obj()), config.output)
-    return 0 if report.ok else 1
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = config_from_args(args)
-    except (ValueError, ZeroDivisionError) as exc:
-        parser.error(str(exc))
-    return run(config)
+        return run(args)
+    except OSError as exc:
+        if args.out is None:  # stdout itself failed, not the --out file
+            raise
+        parser.error(f"--out {args.out}: {exc.strerror or exc}")
 
 
 if __name__ == "__main__":

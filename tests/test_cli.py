@@ -1,10 +1,13 @@
 """Command-line contract: outputs, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from krallm1.cli import RunConfig, build_parser, config_from_args, main
+from krallm1.cli import main
 
 
 def run_cli(argv, capsys):
@@ -13,49 +16,23 @@ def run_cli(argv, capsys):
     return code, out
 
 
-# -- config validation ---------------------------------------------------------
-
-def test_config_requires_known_command():
-    with pytest.raises(ValueError):
-        RunConfig(command="bogus", params={}, n_max=2, precision=60,
-                  tol=None, eps_list=[], output=None, format="json")
-
-
-def test_config_bounds():
-    with pytest.raises(ValueError):
-        RunConfig(command="moments", params={"beta": "1", "M": "-1"},
-                  n_max=-1, precision=60, tol=None, eps_list=[],
-                  output=None, format="json")
-    with pytest.raises(ValueError):
-        RunConfig(command="moments", params={"beta": "1", "M": "-1"},
-                  n_max=2, precision=20, tol=None, eps_list=[],
-                  output=None, format="json")
-
-
-def test_config_rejects_malformed_rational():
-    with pytest.raises(Exception):
-        RunConfig(command="moments", params={"beta": "one", "M": "-1"},
-                  n_max=2, precision=60, tol=None, eps_list=[],
-                  output=None, format="json")
-
-
-def test_precision_env_override(monkeypatch):
-    parser = build_parser()
-    args = parser.parse_args(["limit-scan", "--beta", "1", "--M", "-1"])
-    monkeypatch.setenv("KRALLM1_PRECISION", "45")
-    assert config_from_args(args).precision == 45
-    monkeypatch.delenv("KRALLM1_PRECISION")
-    assert config_from_args(args).precision == 60
-
-
-def test_argparse_error_exit_code():
-    with pytest.raises(SystemExit) as err:
-        main(["verify-m1", "--beta", "1"])
-    assert err.value.code == 2
-
+# -- usage errors ----------------------------------------------------------------
 
 M1 = ["--beta", "1", "--M", "-1"]
 SCAN = ["limit-scan", *M1, "--n-max", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["bogus"],
+    ["verify-m1", "--beta", "1"],
+    ["moments", *M1, "--n-max", "-1"],
+    SCAN + ["--precision", "20"],
+    ["moments", "--beta", "one", "--M", "-1"],
+], ids=" ".join)
+def test_usage_error_exits_two(argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -180,6 +157,14 @@ def test_verify_q_passes(capsys):
             "second-kind-seed", "second-kind-recurrence"} <= checks
 
 
+def test_verify_q_degree_zero(capsys):
+    code, out = run_cli(["verify-q", "--q", "2", "--b", "3", "--M", "1/7",
+                         "--n-max", "0"], capsys)
+    assert code == 0
+    assert [(c["check"], c["n"]) for c in json.loads(out)["checks"]] == \
+        [("representation-agreement", 0), ("eigen-q", 0)]
+
+
 def test_limit_scan_small_grid_passes(capsys):
     code, out = run_cli(["limit-scan", "--beta", "1", "--M", "1",
                          "--n-max", "1", "--eps-list", "1e-2,1e-3"], capsys)
@@ -230,6 +215,15 @@ def test_byte_identical_reruns(tmp_path):
         assert a.read_bytes().endswith(b"\n")
 
 
+def test_output_into_missing_directory_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "r.json"
+    with pytest.raises(SystemExit) as err:
+        main(["moments", *M1, "--out", str(target)])
+    assert err.value.code == 2
+    assert "--out" in capsys.readouterr().err
+    assert not target.parent.exists()
+
+
 def test_output_file_written(tmp_path, capsys):
     out_file = tmp_path / "report.json"
     code = main(["moments", "--beta", "1", "--M", "-1", "--n-max", "2",
@@ -237,3 +231,68 @@ def test_output_file_written(tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr().out == ""
     assert json.loads(out_file.read_text())["moments"][0] == "3/2"
+
+
+# -- exit contract ------------------------------------------------------------------
+
+GOOD_VALUES = ["2", "-1/4", "0"]
+BAD_VALUES = ["1/0", "abc"]
+CSV_HEADERS = {"gen": "n,degree,coefficient", "moments": "n,value",
+               "gram": "kind,i,j,value"}
+REPORT_HEADER = "check,params,n,status,lhs,rhs,residual"
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(["gen", "verify-q", "verify-m1", "moments",
+                                    "gram", "limit-scan", "matrix-verify"]))
+    argv = [command]
+    family = "q" if command == "verify-q" else "m1"
+    if command == "gen":
+        family = draw(st.sampled_from(["m1", "q"]))
+        argv += ["--family", family]
+    flags = ["--q", "--b", "--M"] if family == "q" else ["--beta", "--M"]
+    values = [draw(st.sampled_from(GOOD_VALUES)) for _ in flags]
+    # At most one flaw (a parameter flag left out or malformed, or a
+    # negative --n-max), so that most command lines get past argparse.
+    flaw = draw(st.booleans()) and draw(
+        st.sampled_from(["missing", "malformed", "n-max"]))
+    where = draw(st.integers(0, len(flags) - 1))
+    if flaw == "missing":
+        del flags[where], values[where]
+    elif flaw == "malformed":
+        values[where] = draw(st.sampled_from(BAD_VALUES))
+    for flag, value in zip(flags, values):
+        argv += [flag, value]
+    argv += ["--n-max", "-1" if flaw == "n-max"
+             else draw(st.sampled_from(["0", "1"]))]
+    if draw(st.booleans()):
+        argv += ["--format", "csv"]
+    if command in ("limit-scan", "matrix-verify"):
+        if draw(st.booleans()):
+            argv += ["--precision", draw(st.sampled_from(["30", "20"]))]
+        if draw(st.booleans()):
+            argv += ["--tol", draw(st.sampled_from(["0", "1e-30", "x"]))]
+    return argv
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(command_lines())
+def test_exit_contract(argv):
+    """Every command line ends in a usage error (exit 2) or in exit
+    0, 1 or 2 with a JSON payload, or a CSV report under --format csv."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2
+        return
+    assert code in (0, 1, 2)
+    text = out.getvalue()
+    if "csv" in argv and not text.startswith("{"):
+        assert text.splitlines()[0] == CSV_HEADERS.get(argv[0], REPORT_HEADER)
+    else:
+        doc = json.loads(text)
+        assert "error" in doc or "csv" not in argv
