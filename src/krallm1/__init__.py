@@ -14,20 +14,20 @@ from .errors import (DegenerateParameters, DegreeUnderflow,
                      InsufficientMoments, IntegrabilityError, KrallM1Error,
                      NonPolynomialOutput, NotPositiveDefinite,
                      ResidualExceeded)
-from .exact_core import (DEFAULT_PRECISION, LaurentPoly, PrecisionFloat,
-                         Rational, format_rational, parse_rational, poch,
-                         qpoch, theta, to_mpf, working_precision)
+from .exact_core import (DEFAULT_PRECISION, LaurentPoly, format_rational,
+                         parse_rational, poch, qpoch, theta, to_mpf,
+                         working_precision)
 from .minus_one import (MinusOneParams, MomentSequence, apply_L0_monomial,
                         apply_L0_operator, base_recurrence_m1, epsilon_scan,
-                        family_from_chain, gen_poly_family, gen_poly_m1,
-                        gram_matrix, hankel_dets, inner_product,
+                        family_from_chain, family_gram, gen_poly_family,
+                        gen_poly_m1, gram_matrix, hankel_dets, inner_product,
                         lambda_tilde, limit_B, limit_rep_coeff, moments,
                         point_mass, quadrature_moment_check,
                         transformed_recurrence_m1, weight_density)
-from .matrix_op import (FiveTermCoeffs, MatrixPoly2, d_matrix, e_matrix,
-                        find_positive_definite_point, five_term_check,
-                        five_term_coeffs, matrix_poly,
-                        matrix_recurrence_check, r_nm, split_even_odd)
+from .matrix_op import (FiveTermCoeffs, d_matrix, default_tolerance,
+                        e_matrix, find_positive_definite_point,
+                        five_term_check, matrix_poly, matrix_recurrence_check,
+                        r_nm, split_even_odd)
 from .qjacobi import (ABSENT, QJacobiParams, RepCoeffTable, apply_Lq,
                       geronimus_family, lambda_q, lqj_coeff, lqj_poly,
                       lqj_recurrence, phi, qn_zero, rep_coeff_paper,

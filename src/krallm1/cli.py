@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, flags, *, required=None, n_max=8, tol=None):
         """Parameter flags, --n-max, --out and --format.  Only the float
-        commands, which pass a default ``tol``, take --precision and --tol."""
+        commands, which name a default ``tol``, take --precision and --tol."""
         for flag in flags:
             if flag == "j":
                 p.add_argument("--j", type=int, default=None,
@@ -163,7 +163,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("matrix-verify",
                        help="five-term and matrix three-term recurrence checks")
-    add_common(p, FAMILY_FLAGS["m1"], required=(), n_max=4, tol="1e-40")
+    add_common(p, FAMILY_FLAGS["m1"], required=(), n_max=4,
+               tol="max(10^-(precision-20), 1e-40)")
+    # Without --tol the checks bound residuals by
+    # matrix_op.default_tolerance(--precision).
+    p.set_defaults(tol=None)
 
     # Bare negative rationals ("-1/4") and negative decimals or eps lists
     # ("-1e-3,-1e-4") must parse as option values, not as option strings.
@@ -219,19 +223,24 @@ def verify_m1_suite(params: MinusOneParams, n_max: int) -> VerificationReport:
         report.add(exact_check("dual-operator", point, n,
                                minus_one.apply_L0_monomial(xn, params),
                                minus_one.apply_L0_operator(xn, params)))
-    # Built before the moments, so that a degenerate point is reported at
-    # the degree where the recurrence breaks.
-    family = minus_one.gen_poly_family(n_max, params)
+    # The links (u~_k, b~_k) for k < n_max, which the family needs, come
+    # before the moments, so that a degenerate point is reported at the
+    # degree where the recurrence breaks.  The last link enters only the
+    # norms (and, at n_max = 0, b~_0).
+    chain = [minus_one.transformed_recurrence_m1(k, params)
+             for k in range(n_max)]
+    family = minus_one.family_from_chain([u for u, _ in chain],
+                                         [b for _, b in chain], n_max + 1)
     for n, poly in enumerate(family):
         report.add(exact_check("eigen-m1", point, n,
                                minus_one.apply_L0_operator(poly, params),
                                minus_one.lambda_tilde(n, params) * poly))
     momseq = minus_one.moments(2 * n_max, params)
+    chain.append(minus_one.transformed_recurrence_m1(n_max, params))
+    gram = minus_one.family_gram(family, momseq)
     running_norm = momseq.mu(0)
-    for n in range(n_max + 1):
-        offenders = [m for m in range(n)
-                     if minus_one.inner_product(family[n], family[m],
-                                                momseq) != 0]
+    for n, row in enumerate(gram):
+        offenders = [m for m in range(n) if row[m] != 0]
         report.add(CheckResult(
             check="orthogonality", params=point, n=n,
             status="pass" if not offenders else "fail",
@@ -239,13 +248,10 @@ def verify_m1_suite(params: MinusOneParams, n_max: int) -> VerificationReport:
             rhs="0",
             residual="" if not offenders else f"pairs {offenders}"))
         if n >= 1:
-            running_norm *= minus_one.transformed_recurrence_m1(n, params)[0]
-        report.add(exact_check(
-            "norm-identity", point, n,
-            minus_one.inner_product(family[n], family[n], momseq),
-            running_norm))
-    report.add(exact_check("btilde0-closed-form", point, 0,
-                           minus_one.transformed_recurrence_m1(0, params)[1],
+            running_norm *= chain[n][0]
+        report.add(exact_check("norm-identity", point, n, row[n],
+                               running_norm))
+    report.add(exact_check("btilde0-closed-form", point, 0, chain[0][1],
                            minus_one.btilde0_closed(params)))
     for n in (2, 3):
         if n <= n_max:

@@ -15,9 +15,6 @@ from mpmath import mp, mpf
 
 from .errors import DegreeUnderflow
 
-Rational = Fraction
-PrecisionFloat = mpf
-
 DEFAULT_PRECISION = 60
 
 # Deepest pole the reflection-operator workspace ever needs is x**-3;
@@ -129,8 +126,8 @@ class LaurentPoly:
         return cls({1: Fraction(1)})
 
     @classmethod
-    def monomial(cls, degree: int, coeff=Fraction(1)):
-        return cls({degree: coeff})
+    def monomial(cls, degree: int):
+        return cls({degree: Fraction(1)})
 
     @classmethod
     def from_terms(cls, terms):
@@ -157,10 +154,6 @@ class LaurentPoly:
     def degree(self) -> int:
         """Largest stored degree; -1 convention for the zero polynomial."""
         return max(self.coeffs) if self.coeffs else -1
-
-    @property
-    def min_degree(self) -> int:
-        return min(self.coeffs) if self.coeffs else 0
 
     @property
     def is_proper(self) -> bool:

@@ -33,13 +33,24 @@ def split_even_odd(p: LaurentPoly):
 
 @dataclass
 class FiveTermCoeffs:
-    """Coefficients of x^2 F_n = c0 F_n + c1 F_(n-1) + ... at one index,
-    plus the renormalization sigma_n = sqrt(u~_1...u~_n)."""
+    """Coefficients of x^2 F_n = c0 F_n + c1 F_(n-1) + ... at one index."""
 
     c0: mpf
     c1: mpf
     c2: mpf
-    sigma: mpf
+
+
+def default_tolerance(precision: int) -> Fraction:
+    """Residual bound of the float checks when none is given:
+    max(10^-(precision-20), 1e-40), so 1e-40 from the default 60 digits on.
+
+    Residuals of a holding identity sit near 10^-precision and grow by
+    about 0.8 decades per degree (10^-(precision-11) at degree 16).
+    Below 60 digits 1e-40 is out of their reach; above, a bound that
+    shrank with the precision would stop a higher precision from
+    letting a larger degree pass.
+    """
+    return max(Fraction(10) ** (20 - precision), Fraction(1, 10 ** 40))
 
 
 def _chains(params: MinusOneParams, kmax: int):
@@ -58,21 +69,25 @@ def _chains(params: MinusOneParams, kmax: int):
 
 def _coeffs_from_chain(n: int, us, bs,
                        precision: int) -> FiveTermCoeffs:
+    """c_(n,0) = u~_(n+1) + u~_n + b~_n^2,
+    c_(n,1) = (b~_(n-1) + b~_n) sqrt(u~_n),
+    c_(n,2) = sqrt(u~_n u~_(n-1)).
+
+    The off-band coefficients at n = 0, 1 multiply polynomials of
+    negative index and are fixed at 0 (u~_0 = 0 convention).
+    """
     with working_precision(precision):
         c0 = to_mpf(us[n + 1] + (us[n] if n >= 1 else Fraction(0))
                     + bs[n] * bs[n])
         c1 = to_mpf(bs[n - 1] + bs[n]) * mp.sqrt(to_mpf(us[n])) \
             if n >= 1 else mpf(0)
         c2 = mp.sqrt(to_mpf(us[n] * us[n - 1])) if n >= 2 else mpf(0)
-        sigma = mpf(1)
-        for k in range(1, n + 1):
-            sigma *= to_mpf(us[k])
-        sigma = mp.sqrt(sigma)
-    return FiveTermCoeffs(c0=c0, c1=c1, c2=c2, sigma=sigma)
+    return FiveTermCoeffs(c0=c0, c1=c1, c2=c2)
 
 
 def _f_polys_from_chain(count: int, us, bs, precision: int) -> list:
-    """Renormalized even parts F_k = E_k / sigma_k for k < count, in mpf."""
+    """Renormalized even parts F_k = E_k / sigma_k for k < count, in mpf,
+    with sigma_k = sqrt(u~_1) ... sqrt(u~_k)."""
     family = family_from_chain(us, bs, count)
     out = []
     with working_precision(precision):
@@ -106,26 +121,13 @@ def _five_term_residual(n: int, us, bs, precision: int):
             lhs, rhs
 
 
-def five_term_coeffs(n: int, params: MinusOneParams,
-                     precision: int = DEFAULT_PRECISION) -> FiveTermCoeffs:
-    """c_(n,0) = u~_(n+1) + u~_n + b~_n^2,
-    c_(n,1) = (b~_(n-1) + b~_n) sqrt(u~_n),
-    c_(n,2) = sqrt(u~_n u~_(n-1)); sigma_n = sqrt(u~_1...u~_n).
-
-    The off-band coefficients at n = 0, 1 multiply polynomials of
-    negative index and are fixed at 0 (u~_0 = 0 convention).
-    """
-    us, bs = _chains(params, n + 1)
-    return _coeffs_from_chain(n, us, bs, precision)
-
-
 def five_term_check(n: int, params: MinusOneParams, tol=None,
                     precision: int = DEFAULT_PRECISION) -> VerificationReport:
     """Residual of x^2 F_n = c_(n,0) F_n + c_(n,1) F_(n-1) + c_(n+1,1) F_(n+1)
     + c_(n,2) F_(n-2) + c_(n+2,2) F_(n+2), as a max coefficient deviation."""
     us, bs = _chains(params, n + 3)
     with working_precision(precision):
-        tol_v = to_mpf(tol) if tol is not None else mpf(10) ** -40
+        tol_v = to_mpf(default_tolerance(precision) if tol is None else tol)
         residual, lhs, rhs = _five_term_residual(n, us, bs, precision)
         report = VerificationReport()
         report.add(CheckResult(
@@ -147,22 +149,13 @@ def r_nm(p: LaurentPoly, N: int, m: int) -> LaurentPoly:
                         if d % N == m})
 
 
-@dataclass
-class MatrixPoly2:
-    """2x2 matrix polynomial built from consecutive renormalized even parts:
-    row r holds (R_(2,0)(F_(2n+r)), R_(2,1)(F_(2n+r)))."""
-
-    entries: list  # [[LaurentPoly, LaurentPoly], [LaurentPoly, LaurentPoly]]
-
-
 def matrix_poly(n: int, params: MinusOneParams,
-                precision: int = DEFAULT_PRECISION) -> MatrixPoly2:
-    """Matrix polynomial with rows from F_(2n) and F_(2n+1)."""
+                precision: int = DEFAULT_PRECISION) -> list:
+    """2x2 matrix polynomial whose row r is
+    (R_(2,0)(F_(2n+r)), R_(2,1)(F_(2n+r)))."""
     us, bs = _chains(params, 2 * n + 1)
     fs = _f_polys_from_chain(2 * n + 2, us, bs, precision)
-    return MatrixPoly2(entries=[
-        [r_nm(fs[2 * n], 2, 0), r_nm(fs[2 * n], 2, 1)],
-        [r_nm(fs[2 * n + 1], 2, 0), r_nm(fs[2 * n + 1], 2, 1)]])
+    return [[r_nm(f, 2, 0), r_nm(f, 2, 1)] for f in fs[2 * n:]]
 
 
 def d_matrix(n: int, params: MinusOneParams,
@@ -183,9 +176,8 @@ def e_matrix(n: int, params: MinusOneParams,
     return [[lo.c0, hi.c1], [hi.c1, hi.c0]]
 
 
-def _mat_apply(mat: list, poly_mat: MatrixPoly2) -> list:
+def _mat_apply(mat: list, e: list) -> list:
     """Scalar 2x2 times matrix polynomial, entrywise Laurent arithmetic."""
-    e = poly_mat.entries
     return [[mat[r][0] * e[0][c] + mat[r][1] * e[1][c] for c in range(2)]
             for r in range(2)]
 
@@ -199,13 +191,13 @@ def matrix_recurrence_check(n: int, params: MinusOneParams, tol=None,
     max-residual location when the tolerance is violated.
     """
     with working_precision(precision):
-        tol_v = to_mpf(tol) if tol is not None else mpf(10) ** -40
+        tol_v = to_mpf(default_tolerance(precision) if tol is None else tol)
         p_n = matrix_poly(n, params, precision)
         p_up = matrix_poly(n + 1, params, precision)
         d_up = d_matrix(n + 1, params, precision)
         e_n = e_matrix(n, params, precision)
         x = LaurentPoly({1: mpf(1)})
-        lhs = [[x * e for e in row] for row in p_n.entries]
+        lhs = [[x * e for e in row] for row in p_n]
         rhs = _mat_apply(d_up, p_up)
         mid = _mat_apply(e_n, p_n)
         rhs = [[rhs[r][c] + mid[r][c] for c in range(2)] for r in range(2)]
@@ -234,7 +226,7 @@ def matrix_recurrence_check(n: int, params: MinusOneParams, tol=None,
     return report
 
 
-DEFAULT_CANDIDATES = (
+CANDIDATES = (
     (Fraction(1), Fraction(-1)),
     (Fraction(1, 2), Fraction(-1, 4)),
     (Fraction(3), Fraction(-2)),
@@ -245,12 +237,11 @@ DEFAULT_CANDIDATES = (
 )
 
 
-def find_positive_definite_point(min_index: int,
-                                 candidates=None) -> MinusOneParams:
-    """Scan candidate (beta, M) until the moment functional is Hankel
+def find_positive_definite_point(min_index: int) -> MinusOneParams:
+    """Scan CANDIDATES until the moment functional is Hankel
     positive and u~_1 .. u~_min_index are all positive."""
-    for beta, M in (candidates or DEFAULT_CANDIDATES):
-        params = MinusOneParams(beta=Fraction(beta), M=Fraction(M))
+    for beta, M in CANDIDATES:
+        params = MinusOneParams(beta=beta, M=M)
         try:
             _chains(params, min_index)
             if is_positive_definite(min_index // 2 + 1, params):

@@ -333,17 +333,12 @@ class MomentSequence:
     """
 
     values: list
-    params: MinusOneParams
 
     def mu(self, n: int):
         if not 0 <= n < len(self.values):
             raise InsufficientMoments(
                 f"moment {n} beyond stored range {len(self.values) - 1}")
         return self.values[n]
-
-    @property
-    def max_index(self) -> int:
-        return len(self.values) - 1
 
 
 def moments(N: int, params: MinusOneParams) -> MomentSequence:
@@ -364,7 +359,7 @@ def moments(N: int, params: MinusOneParams) -> MomentSequence:
         if len(values) <= N:
             values.append(v)
         n += 1
-    return MomentSequence(values[:N + 1], params)
+    return MomentSequence(values[:N + 1])
 
 
 def inner_product(p: LaurentPoly, r: LaurentPoly,
@@ -379,12 +374,23 @@ def inner_product(p: LaurentPoly, r: LaurentPoly,
     return total
 
 
+def family_gram(family: list, momseq: MomentSequence) -> list:
+    """Gram matrix <p_i, p_j> of a family under the moment functional.
+
+    The functional is symmetric, so only the entries with j <= i are
+    evaluated; the upper triangle mirrors them.
+    """
+    gram = [[None] * len(family) for _ in family]
+    for i, p in enumerate(family):
+        for j in range(i + 1):
+            gram[i][j] = gram[j][i] = inner_product(p, family[j], momseq)
+    return gram
+
+
 def gram_matrix(N: int, params: MinusOneParams) -> list:
     """Exact Gram matrix of P~_0 .. P~_N under the moment functional."""
     momseq = moments(2 * N, params)
-    family = gen_poly_family(N, params)
-    return [[inner_product(family[i], family[j], momseq)
-             for j in range(N + 1)] for i in range(N + 1)]
+    return family_gram(gen_poly_family(N, params), momseq)
 
 
 def hankel_dets(N: int, params: MinusOneParams) -> list:

@@ -225,9 +225,6 @@ class RepCoeffTable:
             raise KeyError(f"(n={n}, s={s}) outside table bounds")
         return self.entries[(n, s)]
 
-    def eigenvalue(self, n: int):
-        return self.value(n, 0)
-
     def absent_pairs(self) -> list:
         return sorted(k for k, v in self.entries.items() if v is ABSENT)
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .exact_core import LaurentPoly, format_rational
@@ -77,6 +76,3 @@ class VerificationReport:
             "status": "pass" if self.ok else "fail",
             "checks": [r.to_json_obj() for r in self.results],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, indent=2) + "\n"

@@ -190,6 +190,15 @@ def test_matrix_verify_impossible_tolerance_fails(capsys):
     assert doc["error"]["type"] == "ResidualExceeded"
 
 
+def test_matrix_verify_default_tolerance_follows_precision(capsys):
+    # The default bound is max(10^-(precision-20), 1e-40); a fixed 1e-40
+    # lay below the residuals that 30 working digits reach.
+    code, out = run_cli(["matrix-verify", "--n-max", "3", "--precision", "30"],
+                        capsys)
+    assert code == 0
+    assert json.loads(out)["status"] == "pass"
+
+
 def test_report_csv_format(capsys):
     code, out = run_cli(["verify-m1", "--beta", "1", "--M", "-1",
                          "--n-max", "2", "--format", "csv"], capsys)

@@ -127,11 +127,9 @@ def test_product_underflow_cancellation_is_allowed():
 
 
 def test_derivative_rules():
-    assert LaurentPoly.monomial(3).derivative() == \
-        LaurentPoly.monomial(2, F(3))
-    assert LaurentPoly.monomial(0, F(5)).derivative() == LaurentPoly.zero()
-    assert LaurentPoly.monomial(-1).derivative() == \
-        LaurentPoly.monomial(-2, F(-1))
+    assert LaurentPoly.monomial(3).derivative() == LaurentPoly({2: F(3)})
+    assert LaurentPoly({0: F(5)}).derivative() == LaurentPoly.zero()
+    assert LaurentPoly.monomial(-1).derivative() == LaurentPoly({-2: F(-1)})
     with pytest.raises(DegreeUnderflow):
         LaurentPoly.monomial(-3).derivative()
 
@@ -173,5 +171,5 @@ def test_derivative_anticommutes_with_reflect(p):
 
 @given(fractions_st(), fractions_st(), laurent_st())
 def test_exact_addition_inverts(x, y, p):
-    q = p + LaurentPoly.monomial(0, x) * LaurentPoly.monomial(1, y)
-    assert q - LaurentPoly.monomial(1, x * y) == p
+    q = p + LaurentPoly({0: x}) * LaurentPoly({1: y})
+    assert q - LaurentPoly({1: x * y}) == p

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from mpmath import mpf
 
 from krallm1 import (LaurentPoly, MinusOneParams, NotPositiveDefinite,
-                     ResidualExceeded, d_matrix, e_matrix,
+                     ResidualExceeded, d_matrix, default_tolerance, e_matrix,
                      find_positive_definite_point, five_term_check,
-                     five_term_coeffs, gen_poly_family, matrix_poly,
-                     matrix_recurrence_check, r_nm, split_even_odd, to_mpf,
-                     transformed_recurrence_m1, working_precision)
-from krallm1.matrix_op import _chains, _coeffs_from_chain, _five_term_residual
+                     gen_poly_family, matrix_poly, matrix_recurrence_check,
+                     r_nm, split_even_odd, transformed_recurrence_m1,
+                     working_precision)
+from krallm1.matrix_op import (_chains, _coeffs_from_chain,
+                               _f_polys_from_chain, _five_term_residual)
 from krallm1.minus_one import family_from_chain
 
 F = Fraction
@@ -58,9 +59,10 @@ def test_auto_point_is_the_first_candidate():
 
 
 def test_c2_squared_consistency():
+    us, bs = _chains(POINT, 6)
     with working_precision(60):
         for n in (2, 3, 5):
-            c = five_term_coeffs(n, POINT)
+            c = _coeffs_from_chain(n, us, bs, 60)
             u_n = transformed_recurrence_m1(n, POINT)[0]
             u_prev = transformed_recurrence_m1(n - 1, POINT)[0]
             target = mpf(u_n.numerator) / u_n.denominator * \
@@ -69,22 +71,25 @@ def test_c2_squared_consistency():
 
 
 def test_boundary_coefficients_vanish():
-    c0 = five_term_coeffs(0, POINT)
-    assert c0.c1 == 0 and c0.c2 == 0 and c0.sigma == 1
-    assert five_term_coeffs(1, POINT).c2 == 0
+    us, bs = _chains(POINT, 2)
+    c0 = _coeffs_from_chain(0, us, bs, 60)
+    assert c0.c1 == 0 and c0.c2 == 0
+    assert _coeffs_from_chain(1, us, bs, 60).c2 == 0
+    # sigma_0 = 1: F_0 is E_0 = 1 itself.
+    assert _f_polys_from_chain(1, us, bs, 60)[0] == LaurentPoly({0: mpf(1)})
 
 
 def test_five_term_replay():
     for n in range(9):
         report = five_term_check(n, POINT, precision=60)
-        assert report.ok, report.to_json()
+        assert report.ok, report.failures
         assert mpf(report.results[0].residual) <= mpf(10) ** -40
 
 
 def test_not_positive_definite_point():
     bad = MinusOneParams(beta=F(1), M=F(3, 4))
     with pytest.raises(NotPositiveDefinite) as err:
-        five_term_coeffs(2, bad)
+        _chains(bad, 3)
     assert err.value.index == 2
 
 
@@ -95,18 +100,13 @@ def test_family_from_chain_matches_generator():
 
 def test_five_term_scaling_invariance():
     # Scaling the whole u~ chain by a positive constant yields another
-    # valid recurrence chain; the five-term residual property survives
-    # and sigma_n rescales by c^(n/2).
+    # valid recurrence chain; the five-term residual property survives.
     us, bs = _chains(POINT, 9)
     for c in (F(4), F(1, 4)):
         scaled = [u * c for u in us]
         for n in range(5):
             residual, _, _ = _five_term_residual(n, scaled, bs, 60)
             assert residual <= mpf(10) ** -40, (c, n)
-        with working_precision(60):
-            base = _coeffs_from_chain(4, us, bs, 60).sigma
-            moved = _coeffs_from_chain(4, scaled, bs, 60).sigma
-            assert abs(moved - base * to_mpf(c) ** 2) < mpf(10) ** -50
 
 
 # -- coefficient slices -----------------------------------------------------------
@@ -162,10 +162,10 @@ def test_matrix_second_column_is_zero():
     # The renormalized even parts are even polynomials, so the odd slice
     # vanishes identically; the recurrence content lives in column 0.
     pn = matrix_poly(2, POINT)
-    assert pn.entries[0][1] == LaurentPoly.zero()
-    assert pn.entries[1][1] == LaurentPoly.zero()
-    assert pn.entries[0][0].degree == 2
-    assert pn.entries[1][0].degree == 2
+    assert pn[0][1] == LaurentPoly.zero()
+    assert pn[1][1] == LaurentPoly.zero()
+    assert pn[0][0].degree == 2
+    assert pn[1][0].degree == 2
 
 
 def test_matrix_recurrence():
@@ -180,3 +180,8 @@ def test_matrix_recurrence_residual_exceeded():
         matrix_recurrence_check(2, POINT, tol=F(1, 10 ** 99), precision=60)
     assert err.value.location
 
+
+def test_default_tolerance_follows_precision_up_to_1e_40():
+    assert default_tolerance(30) == F(1, 10 ** 10)
+    assert default_tolerance(60) == F(1, 10 ** 40)
+    assert default_tolerance(100) == F(1, 10 ** 40)

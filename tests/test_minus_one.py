@@ -11,11 +11,12 @@ from mpmath import mpf
 from krallm1 import (DegenerateParameters, GeronimusDegenerate,
                      InsufficientMoments, IntegrabilityError, LaurentPoly,
                      MinusOneParams, apply_L0_monomial, apply_L0_operator,
-                     base_recurrence_m1, epsilon_scan, gen_poly_m1,
-                     gram_matrix, hankel_dets, inner_product, lambda_tilde,
-                     limit_B, limit_rep_coeff, moments, point_mass,
-                     quadrature_moment_check, transformed_recurrence_m1,
-                     weight_density, working_precision)
+                     base_recurrence_m1, epsilon_scan, family_gram,
+                     gen_poly_family, gen_poly_m1, gram_matrix, hankel_dets,
+                     inner_product, lambda_tilde, limit_B, limit_rep_coeff,
+                     moments, point_mass, quadrature_moment_check,
+                     transformed_recurrence_m1, weight_density,
+                     working_precision)
 from krallm1.minus_one import (btilde0_closed, explicit_eigenvalue,
                                explicit_solution)
 from conftest import random_m1_params
@@ -240,6 +241,20 @@ def test_gram_diagonal_norm_identity():
         assert gram[n][n] == norm
 
 
+def test_family_gram_matches_pairwise_inner_products(rng):
+    # The full pairwise matrix is the oracle for the mirrored triangle.
+    # The monomials' Gram matrix is the Hankel matrix mu_(i+j), nonzero
+    # off the diagonal, so the mirror is checked away from it too.
+    monomials = [LaurentPoly.monomial(k) for k in range(6)]
+    for params in random_m1_params(rng, 3, need_degrees=5):
+        seq = moments(10, params)
+        for family in (gen_poly_family(5, params), monomials):
+            assert family_gram(family, seq) == \
+                [[inner_product(p, r, seq) for r in family] for p in family]
+        assert family_gram(monomials, seq) == \
+            [[seq.mu(i + j) for j in range(6)] for i in range(6)]
+
+
 def test_hankel_detects_indefinite_point():
     from krallm1.minus_one import is_positive_definite
     bad = MinusOneParams(beta=F(1), M=F(3, 4))  # u~_2 < 0 at this point
@@ -287,13 +302,13 @@ def test_point_mass_value():
 
 def test_quadrature_matches_mu0():
     report = quadrature_moment_check(0, STD)
-    assert report.ok, report.to_json()
+    assert report.ok, report.failures
 
 
 def test_quadrature_low_moments_half():
     for n in (1, 2, 5):
         report = quadrature_moment_check(n, HALF)
-        assert report.ok, report.to_json()
+        assert report.ok, report.failures
 
 
 # -- epsilon scan -------------------------------------------------------------------
@@ -323,7 +338,7 @@ def test_scan_monotone_convergence():
 def test_scan_structural_zero_band():
     # s = 3 at n = 2 is zero on the q side and in the limit.
     report = epsilon_scan(2, 3, DEGEN, ["1e-2", "1e-3"])
-    assert report.ok, report.to_json()
+    assert report.ok, report.failures
     assert limit_rep_coeff(2, 3, DEGEN) == 0
 
 
@@ -332,4 +347,4 @@ def test_scan_reaches_absent_band_values():
     # still scales to the limit coefficient.
     report = epsilon_scan(4, 3, MinusOneParams(beta=F(1), M=F(1)),
                           ["1e-2", "1e-3"], tol=F(1, 10))
-    assert report.ok, report.to_json()
+    assert report.ok, report.failures
