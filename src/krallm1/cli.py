@@ -62,17 +62,17 @@ def parse_eps_list(text: str) -> list:
     """Comma-separated eps values, kept as written.
 
     Empty entries are skipped.  The list must be nonempty, every entry a
-    finite decimal, and consecutive entries distinct and of one sign, so
-    that each convergence order log(dev_i/dev_(i+1))/log(eps_i/eps_(i+1))
-    is defined.
+    nonzero finite decimal (eps = 0 is q = -1 itself), and consecutive
+    entries distinct and of one sign, so that each convergence order
+    log(dev_i/dev_(i+1))/log(eps_i/eps_(i+1)) is defined.
     """
     values = [e.strip() for e in text.split(",") if e.strip()]
     if not values:
         raise argparse.ArgumentTypeError("needs at least one eps value")
     for e in values:
-        if not DECIMAL.fullmatch(e):
+        if not DECIMAL.fullmatch(e) or Decimal(e) == 0:
             raise argparse.ArgumentTypeError(
-                f"{e!r} is not a finite decimal")
+                f"{e!r} is not a nonzero finite decimal")
     for a, b in zip(values, values[1:]):
         lo, hi = sorted((Decimal(a), Decimal(b)))
         if lo == hi or lo < 0 < hi:
@@ -137,20 +137,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=tuple(FAMILY_FLAGS), required=True)
     add_common(p, ("beta", "q", "b", "j", "M"), required=("M",))
 
-    p = sub.add_parser("verify-q",
-                       help="q-side eigen and reconstruction agreement")
-    add_common(p, FAMILY_FLAGS["q"])
-
-    p = sub.add_parser("verify-m1",
-                       help="limit-family operator, eigen, orthogonality and "
-                            "explicit-solution suites")
-    add_common(p, FAMILY_FLAGS["m1"])
-
-    p = sub.add_parser("moments", help="exact moment table")
-    add_common(p, FAMILY_FLAGS["m1"])
-
-    p = sub.add_parser("gram", help="exact Gram matrix and Hankel determinants")
-    add_common(p, FAMILY_FLAGS["m1"])
+    for name, family, text in (
+            ("verify-q", "q", "q-side eigen and reconstruction agreement"),
+            ("verify-m1", "m1", "limit-family operator, eigen, orthogonality "
+                                "and explicit-solution suites"),
+            ("moments", "m1", "exact moment table"),
+            ("gram", "m1", "exact Gram matrix and Hankel determinants")):
+        add_common(sub.add_parser(name, help=text), FAMILY_FLAGS[family])
 
     p = sub.add_parser("limit-scan",
                        help="epsilon scan of the q side against the limit "
@@ -244,8 +237,7 @@ def verify_m1_suite(params: MinusOneParams, n_max: int) -> VerificationReport:
         report.add(CheckResult(
             check="orthogonality", params=point, n=n,
             status="pass" if not offenders else "fail",
-            lhs="0" if not offenders else "nonzero",
-            rhs="0",
+            lhs="0" if not offenders else "nonzero", rhs="0",
             residual="" if not offenders else f"pairs {offenders}"))
         if n >= 1:
             running_norm *= chain[n][0]
@@ -253,15 +245,13 @@ def verify_m1_suite(params: MinusOneParams, n_max: int) -> VerificationReport:
                                running_norm))
     report.add(exact_check("btilde0-closed-form", point, 0, chain[0][1],
                            minus_one.btilde0_closed(params)))
-    for n in (2, 3):
-        if n <= n_max:
-            report.add(exact_check("explicit-solution", point, n, family[n],
-                                   minus_one.explicit_solution(n, params)))
-    for n in (1, 2, 3):
-        if n <= n_max:
-            report.add(exact_check("explicit-eigenvalue", point, n,
-                                   minus_one.lambda_tilde(n, params),
-                                   minus_one.explicit_eigenvalue(n, params)))
+    for n in range(2, min(n_max, 3) + 1):
+        report.add(exact_check("explicit-solution", point, n, family[n],
+                               minus_one.explicit_solution(n, params)))
+    for n in range(1, min(n_max, 3) + 1):
+        report.add(exact_check("explicit-eigenvalue", point, n,
+                               minus_one.lambda_tilde(n, params),
+                               minus_one.explicit_eigenvalue(n, params)))
     return report
 
 
@@ -284,8 +274,7 @@ def verify_q_suite(params: QJacobiParams, n_max: int) -> VerificationReport:
         report.add(CheckResult(
             check="representation-agreement", params=point, n=n,
             status="pass" if not mismatches else "fail",
-            lhs="" if not mismatches else str(mismatches),
-            rhs="", residual=""))
+            lhs=str(mismatches) if mismatches else "", rhs="", residual=""))
     family = qjacobi.geronimus_family(n_max, params)
     for n, poly in enumerate(family):
         report.add(exact_check("eigen-q", point, n,
@@ -403,19 +392,15 @@ def _render_json(obj) -> str:
 
 def _render_csv_rows(header, rows) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
     return buf.getvalue()
 
 
 def _report_csv(report: VerificationReport) -> str:
-    rows = []
-    for r in report.results:
-        point = ";".join(f"{k}={v}" for k, v in sorted(r.params.items()))
-        rows.append([r.check, point, r.n, r.status, r.lhs or "", r.rhs or "",
-                     r.residual or ""])
+    rows = [[r.check,
+             ";".join(f"{k}={v}" for k, v in sorted(r.params.items())),
+             r.n, r.status, r.lhs or "", r.rhs or "", r.residual or ""]
+            for r in report.results]
     return _render_csv_rows(
         ["check", "params", "n", "status", "lhs", "rhs", "residual"], rows)
 

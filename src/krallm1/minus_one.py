@@ -348,17 +348,12 @@ def moments(N: int, params: MinusOneParams) -> MomentSequence:
         raise DegenerateParameters("(3+beta) vanishes")
     half = params.beta / 2 + Fraction(3, 2)
     values = [1 - 2 * M / (3 + beta)]
-    n = 1
-    while len(values) <= N:
+    for n in range(1, (N + 1) // 2 + 1):  # mu_(2n-1) = mu_(2n)
         den = poch(half, n)
         if den == 0:
             raise DegenerateParameters(
                 f"(beta/2+3/2)_{n} vanishes at beta={beta}")
-        v = Fraction(poch(Fraction(1), n)) / den
-        values.append(v)
-        if len(values) <= N:
-            values.append(v)
-        n += 1
+        values += [Fraction(poch(Fraction(1), n)) / den] * 2
     return MomentSequence(values[:N + 1])
 
 
@@ -377,13 +372,21 @@ def inner_product(p: LaurentPoly, r: LaurentPoly,
 def family_gram(family: list, momseq: MomentSequence) -> list:
     """Gram matrix <p_i, p_j> of a family under the moment functional.
 
-    The functional is symmetric, so only the entries with j <= i are
-    evaluated; the upper triangle mirrors them.
+    Row i takes the moment vector m_i[k] = <p_i, x^k> = sum_d p_(i,d)
+    mu_(d+k) once, then G[i][j] = sum_d p_(j,d) m_i[d] for j <= i, mirrored
+    above: O(N^3) for N polynomials of degree < N, not O(N^4) pairwise.
     """
+    if not all(p.is_proper for p in family):
+        raise ValueError("moment functional acts on proper polynomials")
     gram = [[None] * len(family) for _ in family]
+    top = -1
     for i, p in enumerate(family):
+        top = max(top, p.degree)
+        m_i = [sum(c * momseq.mu(d + k) for d, c in p.coeffs.items())
+               for k in range(top + 1)]
         for j in range(i + 1):
-            gram[i][j] = gram[j][i] = inner_product(p, family[j], momseq)
+            gram[i][j] = gram[j][i] = sum(
+                c * m_i[d] for d, c in family[j].coeffs.items())
     return gram
 
 
@@ -396,14 +399,26 @@ def gram_matrix(N: int, params: MinusOneParams) -> list:
 def hankel_dets(N: int, params: MinusOneParams) -> list:
     """Exact Hankel determinants det(mu_(i+j))_(0..m) for m = 0 .. N.
 
-    All positive <=> the moment functional is positive definite.
+    All positive <=> the moment functional is positive definite.  One
+    elimination of H_N without row swaps gives det H_m as the product of
+    the first m+1 pivots, O(N^3) in all.  From the first zero pivot on
+    (det H_m = 0, as H_1 at M = (1+beta)/2), each order falls back to its
+    own elimination with row swaps, _det_fraction.
     """
     momseq = moments(2 * N, params)
-    out = []
-    for m in range(N + 1):
-        mat = [[momseq.mu(i + j) for j in range(m + 1)] for i in range(m + 1)]
-        out.append(_det_fraction(mat))
-    return out
+    hankel = [[momseq.mu(i + j) for j in range(N + 1)] for i in range(N + 1)]
+    work, out = [row[:] for row in hankel], []
+    for col, row in enumerate(work):
+        if row[col] == 0:
+            break
+        out.append(row[col] * (out[-1] if out else 1))
+        # The trailing block is symmetric: row[r] stands for work[r][col].
+        for r in range(col + 1, N + 1):
+            factor = row[r] / row[col]
+            for c in range(r, N + 1):
+                work[r][c] -= factor * row[c]
+    return out + [_det_fraction([row[:m + 1] for row in hankel[:m + 1]])
+                  for m in range(len(out), N + 1)]
 
 
 def is_positive_definite(N: int, params: MinusOneParams) -> bool:
@@ -448,16 +463,22 @@ def weight_density(x, params: MinusOneParams,
 
     (k = 1 normalization; the point mass at 0 is handled separately).
     """
-    beta = params.beta
-    if beta <= -1:
-        raise IntegrabilityError(f"weight not integrable for beta={beta}")
     with working_precision(precision):
+        density = _density(params)
         xv = to_mpf(x)
         if not -1 < xv < 1:
             raise ValueError("density is defined on (-1, 1)")
-        ktilde = to_mpf(Fraction(beta + 1, 2))
-        return ktilde * abs(xv) * (1 - xv * xv) ** (to_mpf(beta - 1) / 2) \
-            * (1 + xv)
+        return density(xv)
+
+
+def _density(params: MinusOneParams):
+    """x -> k~ |x| (1-x^2)^((beta-1)/2) (1+x) at the working precision."""
+    beta = params.beta
+    if beta <= -1:
+        raise IntegrabilityError(f"weight not integrable for beta={beta}")
+    ktilde = to_mpf(Fraction(beta + 1, 2))
+    expo = to_mpf(beta - 1) / 2
+    return lambda x: ktilde * abs(x) * (1 - x * x) ** expo * (1 + x)
 
 
 def point_mass(params: MinusOneParams) -> Fraction:
@@ -479,22 +500,17 @@ def quadrature_moment_check(n: int, params: MinusOneParams,
     mass at 0 contributes only to n = 0.  Pass iff
     |result - mu_n| <= tol * max(1, |mu_n|).
     """
-    beta = params.beta
-    if beta <= -1:
-        raise IntegrabilityError(f"weight not integrable for beta={beta}")
-    mu_n = moments(n, params).mu(n)
     with working_precision(precision + 10):
-        ktilde = to_mpf(Fraction(beta + 1, 2))
-        expo = to_mpf(beta - 1) / 2
+        density = _density(params)
+        mu_n = moments(n, params).mu(n)
 
         def integrand(t):
             # Evaluated at whatever elevated precision the quadrature rule
             # runs at; a node rounded onto an endpoint carries negligible
             # weight and contributes zero.
-            one_minus = 1 - t * t
-            if one_minus <= 0:
+            if 1 - t * t <= 0:
                 return mpf(0)
-            return ktilde * abs(t) * one_minus ** expo * (1 + t) * t ** n
+            return density(t) * t ** n
 
         total = mp.quad(integrand, [-1, 0, 1])
         if n == 0:
@@ -503,13 +519,11 @@ def quadrature_moment_check(n: int, params: MinusOneParams,
         residual = abs(total - target)
         bound = to_mpf(tol) * max(mpf(1), abs(target))
         status = "pass" if residual <= bound else "fail"
-        report = VerificationReport()
-        report.add(CheckResult(
+        return VerificationReport([CheckResult(
             check="quadrature-moment", params=params.as_dict(), n=n,
             status=status, lhs=format_float(total, precision),
             rhs=format_rational(mu_n),
-            residual=format_float(residual, 10)))
-    return report
+            residual=format_float(residual, 10))])
 
 
 # ---------------------------------------------------------------------------

@@ -305,3 +305,34 @@ def test_exit_contract(argv):
     else:
         doc = json.loads(text)
         assert "error" in doc or "csv" not in argv
+
+
+# -- eps-list contract --------------------------------------------------------------
+
+EPS_SCAN = ["limit-scan", *M1, "--n-max", "0", "--eps-list"]
+
+
+@pytest.mark.parametrize("eps", [
+    "1e-3,abc", "nan", "inf",  # malformed
+    "1e-3,-1e-4",  # mixed sign
+    "1e-3,1e-3",  # repeated
+    "1e-3,0", "-0", "0.0",  # zero entry: q = -1 itself
+])
+def test_eps_list_usage_error_exits_two(eps, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(EPS_SCAN + [eps])
+    assert err.value.code == 2
+    assert "--eps-list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eps,kept", [
+    ("1e-3", ["1e-3"]),
+    ("1e-3,,1e-4", ["1e-3", "1e-4"]),  # the empty entry is skipped
+])
+def test_eps_list_accepted(eps, kept, capsys):
+    code, out = run_cli(EPS_SCAN + [eps], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["status"] == "pass"
+    assert [c["params"]["eps"] for c in doc["checks"]
+            if c["check"] == "limit-scan" and c["params"]["s"] == "0"] == kept

@@ -17,9 +17,9 @@ from krallm1 import (DegenerateParameters, GeronimusDegenerate,
                      moments, point_mass, quadrature_moment_check,
                      transformed_recurrence_m1, weight_density,
                      working_precision)
-from krallm1.minus_one import (btilde0_closed, explicit_eigenvalue,
-                               explicit_solution)
-from conftest import random_m1_params
+from krallm1.minus_one import (_det_fraction, btilde0_closed,
+                               explicit_eigenvalue, explicit_solution)
+from conftest import rand_fraction, random_m1_params
 
 F = Fraction
 
@@ -245,14 +245,41 @@ def test_family_gram_matches_pairwise_inner_products(rng):
     # The full pairwise matrix is the oracle for the mirrored triangle.
     # The monomials' Gram matrix is the Hankel matrix mu_(i+j), nonzero
     # off the diagonal, so the mirror is checked away from it too.
-    monomials = [LaurentPoly.monomial(k) for k in range(6)]
-    for params in random_m1_params(rng, 3, need_degrees=5):
-        seq = moments(10, params)
-        for family in (gen_poly_family(5, params), monomials):
-            assert family_gram(family, seq) == \
-                [[inner_product(p, r, seq) for r in family] for p in family]
-        assert family_gram(monomials, seq) == \
-            [[seq.mu(i + j) for j in range(6)] for i in range(6)]
+    for degree in (5, 10):
+        monomials = [LaurentPoly.monomial(k) for k in range(degree + 1)]
+        for params in random_m1_params(rng, 3, need_degrees=degree):
+            seq = moments(2 * degree, params)
+            for family in (gen_poly_family(degree, params), monomials):
+                assert family_gram(family, seq) == \
+                    [[inner_product(p, r, seq) for r in family]
+                     for p in family]
+            assert family_gram(monomials, seq) == \
+                [[seq.mu(i + j) for j in range(degree + 1)]
+                 for i in range(degree + 1)]
+
+
+def _hankel_oracle(N, params):
+    """One determinant per order, each by its own elimination."""
+    seq = moments(2 * N, params)
+    return [_det_fraction([[seq.mu(i + j) for j in range(m + 1)]
+                           for i in range(m + 1)]) for m in range(N + 1)]
+
+
+def test_hankel_dets_match_per_order_determinants(rng):
+    # Random points with beta > 0 > M are positive definite; (1, 3/4) is
+    # indefinite; at (1, 1) and (3, 2), M = (1+beta)/2 makes H_1 vanish,
+    # so the orders from 1 on take the per-order fallback.
+    positive = [MinusOneParams(beta=rand_fraction(rng, 1, 4),
+                               M=-rand_fraction(rng, 1, 2)) for _ in range(3)]
+    for params in positive:
+        assert all(d > 0 for d in hankel_dets(8, params))
+    for params in positive + [MinusOneParams(beta=F(1), M=F(3, 4)),
+                              DEGEN, MinusOneParams(beta=F(3), M=F(2))]:
+        oracle = _hankel_oracle(8, params)
+        for N in range(9):
+            assert hankel_dets(N, params) == oracle[:N + 1]
+    assert hankel_dets(5, DEGEN) == [F(1, 2), 0, F(-1, 72), F(-1, 2592),
+                                     F(-7, 3110400), F(-1, 373248000)]
 
 
 def test_hankel_detects_indefinite_point():
