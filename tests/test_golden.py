@@ -7,7 +7,9 @@ report byte for byte.  The set covers every command, JSON and CSV, the
 auto-selected matrix point, a degenerate exit 2 and an eps list on the
 |q| < 1 side.  The rest cover each table command in the format the
 first thirteen miss, a ConfigError payload, a degenerate q point, a
-matrix residual failure (exit 1) and a zero scan tolerance.
+matrix residual failure (exit 1) and a zero scan tolerance.  The last
+four pin the limit-side links and the family generator before their
+rewrite to integer arithmetic.
 """
 
 import hashlib
@@ -61,6 +63,18 @@ GOLDEN = [
      1, "262d38ec6d152900271d77ff0e1afa5c2dba722e71f5e1d16c53adcd46c24dd2"),
     ("limit-scan --beta 1 --M -1 --n-max 1 --tol 0 --format csv",
      1, "8a2bd0ed7ba4cb5247fa68d646dab5c50a8a4847fecfb4aec63fd3466b7fe303"),
+    # Recorded before the limit-side links and the family generator moved
+    # to integer numerators over a common denominator: a matrix point
+    # off the auto-selected one, a deep family with large rationals, and
+    # the degenerate exits of limit_B (M = -1) and base_recurrence_m1.
+    ("matrix-verify --beta 3/2 --M -1/3 --n-max 7",
+     0, "60229a4cb83bb4e8084123363df5530b676dae5cbec27a073fb270171799c033"),
+    ("gen --family m1 --beta 7/3 --M 5/11 --n-max 14 --format csv",
+     0, "ee7b0e4b9e9621b8be3d93a5bddbe066b37dc901e08698617a7981426df13657"),
+    ("gen --family m1 --beta -5 --M -1 --n-max 4",
+     2, "20bd2fb7b022bd2fc4a44c7f362bb276bdeb65c781438b7b433bb0967144414b"),
+    ("gen --family m1 --beta -5 --M 0 --n-max 4",
+     2, "d6538722df807f943ba6fc223d8523bbe3b620b2728db2c383349da326c6a4da"),
 ]
 
 
