@@ -87,7 +87,8 @@ def _coeffs_from_chain(n: int, us, bs,
 
 def _f_polys_from_chain(count: int, us, bs, precision: int) -> list:
     """Renormalized even parts F_k = E_k / sigma_k for k < count, in mpf,
-    with sigma_k = sqrt(u~_1) ... sqrt(u~_k)."""
+    with sigma_k = sqrt(u~_1) ... sqrt(u~_k).  E_k keeps the even-degree
+    coefficients of P_k, the even half of split_even_odd."""
     family = family_from_chain(us, bs, count)
     out = []
     with working_precision(precision):
@@ -95,9 +96,9 @@ def _f_polys_from_chain(count: int, us, bs, precision: int) -> list:
         for k in range(count):
             if k >= 1:
                 sigma *= mp.sqrt(to_mpf(us[k]))
-            even, _ = split_even_odd(family[k])
-            out.append(LaurentPoly(
-                {d: to_mpf(c) / sigma for d, c in even.coeffs.items()}))
+            out.append(LaurentPoly({d: to_mpf(c) / sigma for d, c
+                                    in family[k].coeffs.items()
+                                    if d % 2 == 0}))
     return out
 
 

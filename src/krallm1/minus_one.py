@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from mpmath import mp, mpf
 
@@ -87,15 +88,23 @@ def base_recurrence_m1(n: int, params: MinusOneParams):
 
     even n:  u_n = -n(n+2)/((2n+1+beta)(2n+3+beta)),          b_n = 1
     odd  n:  u_n = -(n+beta)(n+2+beta)/((2n+1+beta)(2n+3+beta)), b_n = -1
+
+    Worked on the integers over beta = p/q, one Fraction per value.
     """
-    beta = params.beta
-    d1, d2 = 2 * n + 1 + beta, 2 * n + 3 + beta
+    p, q = params.beta.numerator, params.beta.denominator
+    d1, d2 = (2 * n + 1) * q + p, (2 * n + 3) * q + p
     if d1 == 0 or d2 == 0:
         raise DegenerateParameters(
-            f"(2n+1+beta)(2n+3+beta) vanishes at n={n}, beta={beta}")
+            f"(2n+1+beta)(2n+3+beta) vanishes at n={n}, beta={params.beta}")
     if n % 2 == 0:
-        return Fraction(-n * (n + 2)) / (d1 * d2), Fraction(1)
-    return -(n + beta) * (n + 2 + beta) / (d1 * d2), Fraction(-1)
+        return Fraction(-n * (n + 2) * q * q, d1 * d2), Fraction(1)
+    return Fraction(-(n * q + p) * ((n + 2) * q + p), d1 * d2), Fraction(-1)
+
+
+def _divide_by_zero(dividend: Fraction):
+    """Raise the ZeroDivisionError of the closed form's Fraction division
+    of ``dividend`` by a vanishing factor."""
+    return dividend / 0
 
 
 def limit_B(n: int, params: MinusOneParams):
@@ -107,24 +116,41 @@ def limit_B(n: int, params: MinusOneParams):
     odd  n: -(n+2+beta)/(2n+1+beta)
              * (M - (3+beta)(1+beta)/((n+1)(n+2+beta)))
              / (M - (3+beta)(1+beta)/((n+1)(n+beta)))
+
+    Worked on the integers over beta = p/q and M = r/s, one Fraction per
+    value.  A vanishing factor raises as that Fraction division would,
+    in the same order.
     """
     if n < 1:
         raise ValueError("Geronimus ratio needs n >= 1")
-    beta, M = params.beta, params.M
-    g = (3 + beta) * (1 + beta)
+    p, q = params.beta.numerator, params.beta.denominator
+    r, s = params.M.numerator, params.M.denominator
+    g = (3 * q + p) * (q + p)  # q^2 (3+beta)(1+beta)
+    sg = s * g
+    c = (2 * n + 1) * q + p
     if n % 2 == 0:
-        den = M - g / (n * (n + 1 + beta))
+        a = (n + 1) * q + p
+        if a == 0:
+            _divide_by_zero(Fraction(g, q * q))
+        den = r * q * n * a - sg
         if den == 0:
             raise GeronimusDegenerate(
                 n, f"M = (3+beta)(1+beta)/(n(n+1+beta)) at n={n}")
-        return Fraction(n + 2) / (2 * n + 1 + beta) * \
-            (M - g / ((n + 2) * (n + 1 + beta))) / den
-    den = M - g / ((n + 1) * (n + beta))
+        if c == 0:
+            _divide_by_zero(Fraction(n + 2))
+        return Fraction(q * n * (r * q * (n + 2) * a - sg), c * den)
+    a, e = n * q + p, (n + 2) * q + p
+    if a == 0:
+        _divide_by_zero(Fraction(g, q * q))
+    den = r * q * (n + 1) * a - sg
     if den == 0:
         raise GeronimusDegenerate(
             n, f"M = (3+beta)(1+beta)/((n+1)(n+beta)) at n={n}")
-    return -(n + 2 + beta) / Fraction(2 * n + 1 + beta) * \
-        (M - g / ((n + 1) * (n + 2 + beta))) / den
+    if c == 0:
+        _divide_by_zero(Fraction(-e, q))
+    if e == 0:
+        _divide_by_zero(Fraction(g, q * q))
+    return Fraction(-a * (r * q * (n + 1) * e - sg), c * den)
 
 
 def transformed_recurrence_m1(n: int, params: MinusOneParams):
@@ -141,30 +167,52 @@ def transformed_recurrence_m1(n: int, params: MinusOneParams):
     if n == 0:
         b0 = base_recurrence_m1(0, params)[1] + limit_B(1, params)
         return Fraction(0), b0
-    bn = base_recurrence_m1(n, params)[1] + limit_B(n + 1, params) - \
-        limit_B(n, params)
+    bn = base_recurrence_m1(n, params)[1] + limit_B(n + 1, params)
+    b_n = limit_B(n, params)
+    bn -= b_n
     if n == 1:
         mu = moments(2, params)
-        b0 = base_recurrence_m1(0, params)[1] + limit_B(1, params)
+        b0 = base_recurrence_m1(0, params)[1] + b_n
         u1 = (mu.mu(2) - 2 * b0 * mu.mu(1) + b0 * b0 * mu.mu(0)) / mu.mu(0)
         return u1, bn
     b_prev = limit_B(n - 1, params)
     if b_prev == 0:
         raise GeronimusDegenerate(n, f"limit of Phi_{n - 1}/Phi_{n - 2} is 0")
-    un = base_recurrence_m1(n - 1, params)[0] * limit_B(n, params) / b_prev
+    un = base_recurrence_m1(n - 1, params)[0] * b_n / b_prev
     return un, bn
 
 
 def family_from_chain(us, bs, count: int) -> list:
     """Monic polynomials P_0 .. P_(count-1) of the recurrence chain:
-    P_1 = x - b_0,  P_(k+1) = x P_k - b_k P_k - u_k P_(k-1)."""
-    polys = [LaurentPoly.one()]
+    P_1 = x - b_0,  P_(k+1) = x P_k - b_k P_k - u_k P_(k-1).
+
+    Fraction-free (Bareiss): each P_k is carried as integer coefficients,
+    lowest degree first, over one common denominator, and divided by their
+    common gcd each step.  A Fraction is built only per output coefficient.
+    """
+    nums, dens = [[1]], [1]
     if count > 1:
-        polys.append(LaurentPoly({1: Fraction(1), 0: -bs[0]}))
+        nums.append([-bs[0].numerator, bs[0].denominator])
+        dens.append(bs[0].denominator)
     for k in range(1, count - 1):
-        polys.append(LaurentPoly.x() * polys[k] - bs[k] * polys[k]
-                     - us[k] * polys[k - 1])
-    return polys
+        b, u = bs[k], us[k]
+        # P_(k+1) = (b.den x - b.num) N_k / (b.den D_k)
+        #           - u.num N_(k-1) / (u.den D_(k-1))
+        left, right = b.denominator * dens[k], u.denominator * dens[k - 1]
+        den = lcm(left, right)
+        shift, bump = den // left * b.denominator, den // left * b.numerator
+        drop = den // right * u.numerator
+        new = [0] + [shift * v for v in nums[k]]
+        for d, v in enumerate(nums[k]):
+            new[d] -= bump * v
+        for d, v in enumerate(nums[k - 1]):
+            new[d] -= drop * v
+        g = gcd(den, *new)
+        nums.append([v // g for v in new])
+        dens.append(den // g)
+    return [LaurentPoly({d: Fraction(num[d], den)
+                         for d in range(len(num) - 1, -1, -1)})
+            for num, den in zip(nums, dens)]
 
 
 def gen_poly_family(max_n: int, params: MinusOneParams) -> list:
@@ -538,7 +586,12 @@ def _scan_value(n: int, s: int, params: MinusOneParams, eps_text: str,
         if s > n:  # structural zero: the operator maps polys to polys
             return mpf(0)
         eps = mpf(eps_text)
-        qp = QJacobiParams(q=-mp.exp(eps), b=-mp.exp(to_mpf(params.beta) * eps),
+        q = -mp.exp(eps)
+        if q == -1:
+            raise DegenerateParameters(
+                f"eps {eps_text} is below the working precision: -e^eps "
+                f"rounds to -1 at {digits} digits")
+        qp = QJacobiParams(q=q, b=-mp.exp(to_mpf(params.beta) * eps),
                            j=LIMIT_J, M=to_mpf(params.M))
         table = rep_coeff_reconstruct(qp, n)
         return table.value(n, s) / eps ** 3

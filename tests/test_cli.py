@@ -336,3 +336,15 @@ def test_eps_list_accepted(eps, kept, capsys):
     assert doc["status"] == "pass"
     assert [c["params"]["eps"] for c in doc["checks"]
             if c["check"] == "limit-scan" and c["params"]["s"] == "0"] == kept
+
+
+def test_eps_below_working_precision_is_degenerate(capsys):
+    # -e^eps rounds to -1 at the 80 digits the default precision scans at.
+    code, out = run_cli(EPS_SCAN + ["1e-100"], capsys)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "DegenerateParameters"
+    assert error["message"] == ("eps 1e-100 is below the working precision: "
+                                "-e^eps rounds to -1 at 80 digits")
+    code, _ = run_cli(EPS_SCAN + ["1e-70"], capsys)
+    assert code == 0

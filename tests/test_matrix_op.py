@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mpf
+from mpmath import mpf, sqrt
 
 from krallm1 import (LaurentPoly, MinusOneParams, NotPositiveDefinite,
                      ResidualExceeded, d_matrix, default_tolerance, e_matrix,
@@ -77,6 +77,23 @@ def test_boundary_coefficients_vanish():
     assert _coeffs_from_chain(1, us, bs, 60).c2 == 0
     # sigma_0 = 1: F_0 is E_0 = 1 itself.
     assert _f_polys_from_chain(1, us, bs, 60)[0] == LaurentPoly({0: mpf(1)})
+
+
+@pytest.mark.parametrize("params", [
+    POINT, MinusOneParams(beta=F(3, 2), M=F(-1, 3))])
+def test_f_polys_are_even_parts_over_sigma(params):
+    us, bs = _chains(params, 11)
+    family = family_from_chain(us, bs, 12)
+    fs = _f_polys_from_chain(12, us, bs, 60)
+    with working_precision(60):
+        sigma = mpf(1)
+        for k, f in enumerate(fs):
+            if k >= 1:
+                sigma *= sqrt(mpf(us[k].numerator) / us[k].denominator)
+            even, _ = split_even_odd(family[k])
+            assert all(d % 2 == 0 for d in f.coeffs)
+            assert f.coeffs == {d: mpf(c.numerator) / c.denominator / sigma
+                                for d, c in even.coeffs.items()}
 
 
 def test_five_term_replay():

@@ -1,6 +1,8 @@
 """The limit family: operators, recurrence, moments, orthogonality,
 quadrature and the epsilon scan."""
 
+import functools
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,7 +20,8 @@ from krallm1 import (DegenerateParameters, GeronimusDegenerate,
                      transformed_recurrence_m1, weight_density,
                      working_precision)
 from krallm1.minus_one import (_det_fraction, btilde0_closed,
-                               explicit_eigenvalue, explicit_solution)
+                               explicit_eigenvalue, explicit_solution,
+                               family_from_chain)
 from conftest import rand_fraction, random_m1_params
 
 F = Fraction
@@ -92,6 +95,140 @@ def test_b0_closed_form(rng):
 
 def test_u1_from_moments():
     assert transformed_recurrence_m1(1, STD)[0] == F(2, 9)
+
+
+# -- the integer kernels against their Fraction closed forms --------------------
+
+# The closed forms are cached so that the old transformed_recurrence_m1,
+# which takes each B_n up to twice, replays cheaply over the grid; an
+# exception is not cached and is raised again on every call.
+@functools.lru_cache(maxsize=None)
+def _base_closed(n, params):
+    """base_recurrence_m1 as its docstring states it, in Fractions."""
+    beta = params.beta
+    d1, d2 = 2 * n + 1 + beta, 2 * n + 3 + beta
+    if d1 == 0 or d2 == 0:
+        raise DegenerateParameters(
+            f"(2n+1+beta)(2n+3+beta) vanishes at n={n}, beta={beta}")
+    if n % 2 == 0:
+        return F(-n * (n + 2)) / (d1 * d2), F(1)
+    return -(n + beta) * (n + 2 + beta) / (d1 * d2), F(-1)
+
+
+@functools.lru_cache(maxsize=None)
+def _limit_B_closed(n, params):
+    """limit_B as its docstring states it, in Fractions."""
+    beta, M = params.beta, params.M
+    g = (3 + beta) * (1 + beta)
+    if n % 2 == 0:
+        den = M - g / (n * (n + 1 + beta))
+        if den == 0:
+            raise GeronimusDegenerate(
+                n, f"M = (3+beta)(1+beta)/(n(n+1+beta)) at n={n}")
+        return F(n + 2) / (2 * n + 1 + beta) * \
+            (M - g / ((n + 2) * (n + 1 + beta))) / den
+    den = M - g / ((n + 1) * (n + beta))
+    if den == 0:
+        raise GeronimusDegenerate(
+            n, f"M = (3+beta)(1+beta)/((n+1)(n+beta)) at n={n}")
+    return -(n + 2 + beta) / F(2 * n + 1 + beta) * \
+        (M - g / ((n + 1) * (n + 2 + beta))) / den
+
+
+def _transformed_closed(n, params):
+    """transformed_recurrence_m1 over the closed forms, each B_n taken
+    wherever the formulas name it."""
+    if n == 0:
+        return F(0), _base_closed(0, params)[1] + _limit_B_closed(1, params)
+    bn = _base_closed(n, params)[1] + _limit_B_closed(n + 1, params) - \
+        _limit_B_closed(n, params)
+    if n == 1:
+        mu = moments(2, params)
+        b0 = _base_closed(0, params)[1] + _limit_B_closed(1, params)
+        u1 = (mu.mu(2) - 2 * b0 * mu.mu(1) + b0 * b0 * mu.mu(0)) / mu.mu(0)
+        return u1, bn
+    b_prev = _limit_B_closed(n - 1, params)
+    if b_prev == 0:
+        raise GeronimusDegenerate(n, f"limit of Phi_{n - 1}/Phi_{n - 2} is 0")
+    return _base_closed(n - 1, params)[0] * _limit_B_closed(n, params) / \
+        b_prev, bn
+
+
+def _outcome(fn, n, params):
+    """The value, or the type, message and degree of the raised error."""
+    try:
+        return "value", fn(n, params)
+    except (ZeroDivisionError, DegenerateParameters,
+            GeronimusDegenerate) as exc:
+        return type(exc), str(exc), getattr(exc, "n", None)
+
+
+# Every beta in [-1, 1] with denominator <= 5, and the negative odd
+# integers at which n+beta, n+1+beta, n+2+beta or 2n+1+beta vanishes for
+# some n < 30; M from -1 to 2 with denominators <= 5, which meets the
+# Geronimus degeneracies M = (3+beta)(1+beta)/(n(n+1+beta)) and the zero
+# of mu_0.
+GRID_BETAS = sorted({F(a, d) for d in range(1, 6) for a in range(-d, d + 1)}
+                    | {F(-k) for k in (3, 5, 7, 29, 31, 59)})
+GRID_MS = [F(-1), F(-1, 5), F(0), F(1, 3), F(1), F(2)]
+
+
+@pytest.mark.parametrize("kernel,closed,degrees,failures", [
+    (base_recurrence_m1, _base_closed, range(30), {DegenerateParameters}),
+    (limit_B, _limit_B_closed, range(1, 30),
+     {GeronimusDegenerate, ZeroDivisionError}),
+    (transformed_recurrence_m1, _transformed_closed, range(30),
+     {DegenerateParameters, GeronimusDegenerate, ZeroDivisionError}),
+], ids=["base_recurrence_m1", "limit_B", "transformed_recurrence_m1"])
+def test_integer_kernel_matches_closed_form(kernel, closed, degrees,
+                                            failures):
+    raised = set()
+    for beta in GRID_BETAS:
+        for M in GRID_MS:
+            params = MinusOneParams(beta=beta, M=M)
+            for n in degrees:
+                want = _outcome(closed, n, params)
+                assert _outcome(kernel, n, params) == want, (beta, M, n)
+                raised.add(want[0])
+    assert raised == failures | {"value"}  # every failure is reached
+
+
+def test_limit_B_zero_division_sites():
+    # n+1+beta = 0 (even n) and n+2+beta = 0 (odd n): unreachable from the
+    # CLI, which stops at base_recurrence_m1 first, but public API.
+    for n, beta in ((2, F(-3)), (4, F(-5)), (1, F(-3)), (3, F(-5))):
+        params = MinusOneParams(beta=beta, M=F(1, 2))
+        with pytest.raises(ZeroDivisionError) as err:
+            _limit_B_closed(n, params)
+        with pytest.raises(ZeroDivisionError,
+                           match=re.escape(str(err.value))):
+            limit_B(n, params)
+
+
+def _family_by_laurent(us, bs, count):
+    """The monic recurrence worked in LaurentPoly arithmetic."""
+    polys = [LaurentPoly.one()]
+    if count > 1:
+        polys.append(LaurentPoly({1: F(1), 0: -bs[0]}))
+    for k in range(1, count - 1):
+        polys.append(LaurentPoly.x() * polys[k] - bs[k] * polys[k]
+                     - us[k] * polys[k - 1])
+    return polys
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 40])
+def test_family_from_chain_matches_laurent_recurrence(count):
+    for params in (STD, HALF, MinusOneParams(beta=F(7, 3), M=F(5, 11))):
+        chain = [transformed_recurrence_m1(k, params)
+                 for k in range(max(count - 1, 1))]
+        us, bs = [u for u, _ in chain], [b for _, b in chain]
+        got = family_from_chain(us, bs, count)
+        want = _family_by_laurent(us, bs, count)
+        assert got == want
+        # Same dict order too: descending degree.
+        assert [list(p.coeffs) for p in got] == \
+            [list(p.coeffs) for p in want] == \
+            [sorted(p.coeffs, reverse=True) for p in want]
 
 
 # -- generated polynomials -------------------------------------------------------
