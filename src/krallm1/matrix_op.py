@@ -86,9 +86,8 @@ def _coeffs_from_chain(n: int, us, bs,
 
 
 def _f_polys_from_chain(count: int, us, bs, precision: int) -> list:
-    """Renormalized even parts F_k = E_k / sigma_k for k < count, in mpf,
-    with sigma_k = sqrt(u~_1) ... sqrt(u~_k).  E_k keeps the even-degree
-    coefficients of P_k, the even half of split_even_odd."""
+    """Renormalized even parts F_k = E_k / sigma_k for k < count, in mpf:
+    E_k is the even-degree part of P_k, sigma_k = sqrt(u~_1)...sqrt(u~_k)."""
     family = family_from_chain(us, bs, count)
     out = []
     with working_precision(precision):

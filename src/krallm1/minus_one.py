@@ -88,8 +88,6 @@ def base_recurrence_m1(n: int, params: MinusOneParams):
 
     even n:  u_n = -n(n+2)/((2n+1+beta)(2n+3+beta)),          b_n = 1
     odd  n:  u_n = -(n+beta)(n+2+beta)/((2n+1+beta)(2n+3+beta)), b_n = -1
-
-    Worked on the integers over beta = p/q, one Fraction per value.
     """
     p, q = params.beta.numerator, params.beta.denominator
     d1, d2 = (2 * n + 1) * q + p, (2 * n + 3) * q + p
@@ -102,8 +100,7 @@ def base_recurrence_m1(n: int, params: MinusOneParams):
 
 
 def _divide_by_zero(dividend: Fraction):
-    """Raise the ZeroDivisionError of the closed form's Fraction division
-    of ``dividend`` by a vanishing factor."""
+    """Raise what the closed form's Fraction division by 0 raises."""
     return dividend / 0
 
 
@@ -117,40 +114,32 @@ def limit_B(n: int, params: MinusOneParams):
              * (M - (3+beta)(1+beta)/((n+1)(n+2+beta)))
              / (M - (3+beta)(1+beta)/((n+1)(n+beta)))
 
-    Worked on the integers over beta = p/q and M = r/s, one Fraction per
-    value.  A vanishing factor raises as that Fraction division would,
-    in the same order.
+    Over beta = p/q, M = r/s, g = q^2 (3+beta)(1+beta), the brackets are
+    (r q m e - s g)/(s q m e) above and (r q m' a - s g)/(s q m' a) below;
+    a vanishing factor raises as its Fraction division would, in order.
     """
     if n < 1:
         raise ValueError("Geronimus ratio needs n >= 1")
     p, q = params.beta.numerator, params.beta.denominator
     r, s = params.M.numerator, params.M.denominator
-    g = (3 * q + p) * (q + p)  # q^2 (3+beta)(1+beta)
-    sg = s * g
-    c = (2 * n + 1) * q + p
+    g, c = (3 * q + p) * (q + p), (2 * n + 1) * q + p
     if n % 2 == 0:
-        a = (n + 1) * q + p
-        if a == 0:
-            _divide_by_zero(Fraction(g, q * q))
-        den = r * q * n * a - sg
-        if den == 0:
-            raise GeronimusDegenerate(
-                n, f"M = (3+beta)(1+beta)/(n(n+1+beta)) at n={n}")
-        if c == 0:
-            _divide_by_zero(Fraction(n + 2))
-        return Fraction(q * n * (r * q * (n + 2) * a - sg), c * den)
-    a, e = n * q + p, (n + 2) * q + p
+        a = e = (n + 1) * q + p  # q(n+1+beta)
+        m, m_below, lead, top = n + 2, n, (n + 2) * q, q * n
+        where = "n(n+1+beta)"
+    else:
+        a, e = n * q + p, (n + 2) * q + p  # q(n+beta), q(n+2+beta)
+        m, m_below, lead, top = n + 1, n + 1, -e, -a
+        where = "(n+1)(n+beta)"
     if a == 0:
         _divide_by_zero(Fraction(g, q * q))
-    den = r * q * (n + 1) * a - sg
+    den = r * q * m_below * a - s * g
     if den == 0:
         raise GeronimusDegenerate(
-            n, f"M = (3+beta)(1+beta)/((n+1)(n+beta)) at n={n}")
-    if c == 0:
-        _divide_by_zero(Fraction(-e, q))
-    if e == 0:
-        _divide_by_zero(Fraction(g, q * q))
-    return Fraction(-a * (r * q * (n + 1) * e - sg), c * den)
+            n, f"M = (3+beta)(1+beta)/({where}) at n={n}")
+    if c == 0 or e == 0:  # lead/(2n+1+beta), then g/(m e)
+        _divide_by_zero(Fraction(lead, q) if c == 0 else Fraction(g, q * q))
+    return Fraction(top * (r * q * m * e - s * g), c * den)
 
 
 def transformed_recurrence_m1(n: int, params: MinusOneParams):
@@ -167,9 +156,8 @@ def transformed_recurrence_m1(n: int, params: MinusOneParams):
     if n == 0:
         b0 = base_recurrence_m1(0, params)[1] + limit_B(1, params)
         return Fraction(0), b0
-    bn = base_recurrence_m1(n, params)[1] + limit_B(n + 1, params)
-    b_n = limit_B(n, params)
-    bn -= b_n
+    bn = base_recurrence_m1(n, params)[1] + limit_B(n + 1, params) - \
+        (b_n := limit_B(n, params))
     if n == 1:
         mu = moments(2, params)
         b0 = base_recurrence_m1(0, params)[1] + b_n
@@ -178,41 +166,32 @@ def transformed_recurrence_m1(n: int, params: MinusOneParams):
     b_prev = limit_B(n - 1, params)
     if b_prev == 0:
         raise GeronimusDegenerate(n, f"limit of Phi_{n - 1}/Phi_{n - 2} is 0")
-    un = base_recurrence_m1(n - 1, params)[0] * b_n / b_prev
-    return un, bn
+    return base_recurrence_m1(n - 1, params)[0] * b_n / b_prev, bn
 
 
 def family_from_chain(us, bs, count: int) -> list:
     """Monic polynomials P_0 .. P_(count-1) of the recurrence chain:
     P_1 = x - b_0,  P_(k+1) = x P_k - b_k P_k - u_k P_(k-1).
 
-    Fraction-free (Bareiss): each P_k is carried as integer coefficients,
-    lowest degree first, over one common denominator, and divided by their
-    common gcd each step.  A Fraction is built only per output coefficient.
-    """
-    nums, dens = [[1]], [1]
+    Fraction-free (after Bareiss): integer coefficients of P_k, lowest
+    degree first, over one denominator, reduced by their gcd each step."""
+    polys = [([1], 1)]
     if count > 1:
-        nums.append([-bs[0].numerator, bs[0].denominator])
-        dens.append(bs[0].denominator)
+        polys.append(([-bs[0].numerator, bs[0].denominator],
+                      bs[0].denominator))
     for k in range(1, count - 1):
-        b, u = bs[k], us[k]
-        # P_(k+1) = (b.den x - b.num) N_k / (b.den D_k)
-        #           - u.num N_(k-1) / (u.den D_(k-1))
-        left, right = b.denominator * dens[k], u.denominator * dens[k - 1]
+        (cur, d_cur), (prev, d_prev), b = polys[k], polys[k - 1], bs[k]
+        left, right = b.denominator * d_cur, us[k].denominator * d_prev
         den = lcm(left, right)
-        shift, bump = den // left * b.denominator, den // left * b.numerator
-        drop = den // right * u.numerator
-        new = [0] + [shift * v for v in nums[k]]
-        for d, v in enumerate(nums[k]):
-            new[d] -= bump * v
-        for d, v in enumerate(nums[k - 1]):
-            new[d] -= drop * v
+        x_f, b_f = den // left * b.denominator, den // left * b.numerator
+        u_f = den // right * us[k].numerator
+        new = [x_f * xc - b_f * c - u_f * pc  # of x P_k, P_k, P_(k-1)
+               for xc, c, pc in zip([0] + cur, cur + [0], prev + [0, 0])]
         g = gcd(den, *new)
-        nums.append([v // g for v in new])
-        dens.append(den // g)
+        polys.append(([v // g for v in new], den // g))
     return [LaurentPoly({d: Fraction(num[d], den)
                          for d in range(len(num) - 1, -1, -1)})
-            for num, den in zip(nums, dens)]
+            for num, den in polys]
 
 
 def gen_poly_family(max_n: int, params: MinusOneParams) -> list:
@@ -586,11 +565,9 @@ def _scan_value(n: int, s: int, params: MinusOneParams, eps_text: str,
         if s > n:  # structural zero: the operator maps polys to polys
             return mpf(0)
         eps = mpf(eps_text)
-        q = -mp.exp(eps)
-        if q == -1:
+        if (q := -mp.exp(eps)) == -1:
             raise DegenerateParameters(
-                f"eps {eps_text} is below the working precision: -e^eps "
-                f"rounds to -1 at {digits} digits")
+                f"eps {eps_text}: -e^eps rounds to -1 at {digits} digits")
         qp = QJacobiParams(q=q, b=-mp.exp(to_mpf(params.beta) * eps),
                            j=LIMIT_J, M=to_mpf(params.M))
         table = rep_coeff_reconstruct(qp, n)
