@@ -83,11 +83,6 @@ def qpoch(a, q, n: int):
     return result
 
 
-def theta(n: int):
-    """Parity indicator (1-(-1)^n)/2: 0 for even n, 1 for odd n."""
-    return n % 2
-
-
 class LaurentPoly:
     """Sparse univariate Laurent polynomial with degrees down to -3.
 

@@ -2,11 +2,11 @@
 q-Jacobi polynomials at j = 2).
 
 Contents: the parity-split limit coefficients of the operator table, the
-third-order reflection operator L0 in two independent realizations
-(monomial action and differential-difference form), the transformed
-three-term recurrence, exact moments and the orthogonality machinery,
-the weight-density quadrature check, and the epsilon scan that ties the
-q side to the limit coefficients numerically.
+third-order reflection operator L0 (its monomial action is that limit
+table extended linearly, checked against the differential-difference
+form), the transformed three-term recurrence, exact moments and the
+orthogonality machinery, the weight-density quadrature check, and the
+epsilon scan that ties the q side to the limit coefficients numerically.
 
 Exact checks run over Fractions; the scan and quadrature use mpmath.
 """
@@ -23,8 +23,7 @@ from .errors import (DegenerateParameters, GeronimusDegenerate,
                      InsufficientMoments, IntegrabilityError,
                      NonPolynomialOutput)
 from .exact_core import (DEFAULT_PRECISION, LaurentPoly, format_float,
-                         format_rational, poch, theta, to_mpf,
-                         working_precision)
+                         format_rational, poch, to_mpf, working_precision)
 from .qjacobi import QJacobiParams, rep_coeff_reconstruct
 from .report import CheckResult, VerificationReport
 
@@ -254,46 +253,18 @@ def explicit_eigenvalue(n: int, params: MinusOneParams):
 
 
 # ---------------------------------------------------------------------------
-# The third-order reflection operator L0, two realizations
+# The third-order reflection operator L0: limit table and operator form
 # ---------------------------------------------------------------------------
 
-def _l0_brackets(n: int, params: MinusOneParams):
-    """The four monomial-action coefficients of L0 x^n (degrees n..n-3)."""
-    beta, M = params.beta, params.M
-    t = theta(n)
-    b0 = (-8 * M * n * (n + 2) * (n + 1 + beta)
-          + 8 * n * (beta + 1) * (beta + 3)
-          + t * (16 * M * n ** 3 + (24 * beta * M + 48 * M) * n ** 2
-                 + (32 * M - 16 * beta ** 2 + 8 * beta ** 2 * M - 48
-                    + 48 * beta * M - 64 * beta) * n
-                 - 48 * beta ** 2 - 8 * beta ** 3 + 16 * beta * M
-                 + 8 * beta ** 2 * M - 48 - 88 * beta))
-    b1 = (8 * M * n ** 3 + (24 * M + 8 * beta * M) * n ** 2
-          + (16 * M + 16 * beta * M - 8 * beta ** 2 - 32 * beta - 24) * n
-          + t * (-16 * M * n ** 3 - (24 * M + 16 * beta * M) * n ** 2
-                 + (64 * beta + 48 + 16 * beta ** 2 - 16 * beta * M
-                    - 8 * M) * n
-                 + 32 * beta + 24 + 8 * beta ** 2 + 8 * beta * M))
-    b2 = (8 * M * n ** 3 - 32 * M * n
-          + t * (-16 * M * n ** 3 - 8 * beta * M * n ** 2 + 40 * M * n
-                 + 8 * beta * M))
-    b3 = (-8 * M * n ** 3 + 32 * M * n
-          + t * (16 * M * n ** 3 - 24 * M * n ** 2 - 40 * M * n + 24 * M))
-    return b0, b1, b2, b3
-
-
 def apply_L0_monomial(p: LaurentPoly, params: MinusOneParams) -> LaurentPoly:
-    """Apply L0 through its monomial action
-    L0 x^n = b0 x^n + b1 x^(n-1) + b2 x^(n-2) + b3 x^(n-3).
-
-    The lower brackets vanish identically for n < 3, so the result is
-    always a proper polynomial.
-    """
+    """Apply L0 through its monomial action, the limit table extended
+    linearly: L0 x^n = sum_(s <= min(n, 3)) limit_rep_coeff(n, s) x^(n-s)."""
     if not p.is_proper:
         raise ValueError("operator acts on proper polynomials only")
     return LaurentPoly.from_terms(
-        (d - s, c * bracket) for d, c in p.coeffs.items()
-        for s, bracket in enumerate(_l0_brackets(d, params)) if bracket != 0)
+        (d - s, c * v) for d, c in p.coeffs.items()
+        for s in range(min(d, 3) + 1)
+        if (v := limit_rep_coeff(d, s, params)) != 0)
 
 
 def _l0_coefficient_functions(params: MinusOneParams):

@@ -181,7 +181,7 @@ def transformed_recurrence(n: int, params: QJacobiParams):
         b0 = lqj_recurrence(0, params)[1]
         return 0 * b0, b0 + _ratio_B(1, params)
     bn = lqj_recurrence(n, params)[1] + _ratio_B(n + 1, params) - \
-        _ratio_B(n, params)
+        (b_n := _ratio_B(n, params))
     if n == 1:
         phi0 = phi(0, params)
         if phi0 == 0:
@@ -190,8 +190,7 @@ def transformed_recurrence(n: int, params: QJacobiParams):
     b_prev = _ratio_B(n - 1, params)
     if b_prev == 0:
         raise GeronimusDegenerate(n, f"Phi_{n - 1} = 0")
-    un = lqj_recurrence(n - 1, params)[0] * _ratio_B(n, params) / b_prev
-    return un, bn
+    return lqj_recurrence(n - 1, params)[0] * b_n / b_prev, bn
 
 
 # ---------------------------------------------------------------------------
@@ -210,18 +209,17 @@ ABSENT = _Absent()
 
 @dataclass
 class RepCoeffTable:
-    """Monomial-action coefficients A_n^(s) for 0 <= n <= max_n, 0 <= s <= max_s.
+    """Monomial-action coefficients A_n^(s) for 0 <= s, n <= max_n.
 
     ``entries[(n, s)]`` is a scalar or ABSENT.  A_n^(0) is the eigenvalue
     of the transformed polynomial of degree n.
     """
 
     max_n: int
-    max_s: int
     entries: dict
 
     def value(self, n: int, s: int):
-        if not (0 <= n <= self.max_n and 0 <= s <= self.max_s):
+        if not (0 <= n <= self.max_n and 0 <= s <= self.max_n):
             raise KeyError(f"(n={n}, s={s}) outside table bounds")
         return self.entries[(n, s)]
 
@@ -265,10 +263,9 @@ def rep_coeff_paper(params: QJacobiParams, max_n: int) -> RepCoeffTable:
     authoritative source for those.
     """
     j = params.j
-    max_s = max_n
     entries = {}
     for n in range(max_n + 1):
-        for s in range(max_s + 1):
+        for s in range(max_n + 1):
             if s > n or s >= j + 2:
                 entries[(n, s)] = Fraction(0)
             elif s == 0:
@@ -279,7 +276,7 @@ def rep_coeff_paper(params: QJacobiParams, max_n: int) -> RepCoeffTable:
                 entries[(n, s)] = _paper_a2(n, params)
             else:
                 entries[(n, s)] = ABSENT
-    return RepCoeffTable(max_n, max_s, entries)
+    return RepCoeffTable(max_n, entries)
 
 
 def rep_coeff_reconstruct(params: QJacobiParams, max_n: int) -> RepCoeffTable:
@@ -296,7 +293,6 @@ def rep_coeff_reconstruct(params: QJacobiParams, max_n: int) -> RepCoeffTable:
     """
     family = geronimus_family(max_n, params)
     lambdas = [lambda_q(n, params) for n in range(max_n + 1)]
-    max_s = max_n
     entries = {}
     for n in range(max_n + 1):
         bt = {n - d: c for d, c in family[n].coeffs.items()}
@@ -307,9 +303,9 @@ def rep_coeff_reconstruct(params: QJacobiParams, max_n: int) -> RepCoeffTable:
                 if bs is not None:
                     acc = acc - bs * entries[(n - s, r - s)]
             entries[(n, r)] = acc
-        for s in range(n + 1, max_s + 1):
+        for s in range(n + 1, max_n + 1):
             entries[(n, s)] = Fraction(0)
-    return RepCoeffTable(max_n, max_s, entries)
+    return RepCoeffTable(max_n, entries)
 
 
 def apply_Lq(p: LaurentPoly, table: RepCoeffTable) -> LaurentPoly:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .exact_core import LaurentPoly, format_rational
 
@@ -24,15 +24,7 @@ class CheckResult:
         return self.status == "pass"
 
     def to_json_obj(self) -> dict:
-        return {
-            "check": self.check,
-            "params": dict(self.params),
-            "n": self.n,
-            "status": self.status,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "residual": self.residual,
-        }
+        return asdict(self)
 
 
 def exact_check(check: str, params: dict, n: int, lhs, rhs) -> CheckResult:

@@ -244,7 +244,9 @@ def test_output_file_written(tmp_path, capsys):
 
 # -- exit contract ------------------------------------------------------------------
 
-GOOD_VALUES = ["2", "-1/4", "0"]
+# "-3" makes 3 + beta vanish, and "1/2" gives bq = 1 at q = 2, b = 1/2:
+# those command lines end in a degenerate exit-2 payload.
+GOOD_VALUES = ["2", "-1/4", "0", "-3", "1/2"]
 BAD_VALUES = ["1/0", "abc"]
 CSV_HEADERS = {"gen": "n,degree,coefficient", "moments": "n,value",
                "gram": "kind,i,j,value"}

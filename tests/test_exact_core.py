@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from krallm1 import (DegreeUnderflow, LaurentPoly, format_rational,
-                     parse_rational, poch, qpoch, theta, to_mpf,
+                     parse_rational, poch, qpoch, to_mpf,
                      working_precision)
 
 F = Fraction
@@ -82,13 +82,6 @@ def test_poch_recurrence(x, n):
        st.integers(0, 6), st.integers(0, 6))
 def test_qpoch_multiplicativity(a, q, n, m):
     assert qpoch(a, q, n + m) == qpoch(a, q, n) * qpoch(a * q ** n, q, m)
-
-
-def test_theta_parity():
-    assert theta(0) == 0
-    assert theta(1) == 1
-    assert theta(6) == 0
-    assert theta(7) == 1
 
 
 # -- Laurent polynomial basics ----------------------------------------------

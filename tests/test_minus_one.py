@@ -276,6 +276,50 @@ def test_monomial_action_matches_limit_coefficients(rng):
                 expected
 
 
+def _l0_brackets_theta(n, params):
+    """The θ-form of L0 x^n = b0 x^n + b1 x^(n-1) + b2 x^(n-2) + b3 x^(n-3),
+    with the parity indicator θ(n) = (1 - (-1)^n)/2: an independent
+    transcription of the limit table."""
+    beta, M = params.beta, params.M
+    t = (1 - (-1) ** n) // 2
+    b0 = (-8 * M * n * (n + 2) * (n + 1 + beta)
+          + 8 * n * (beta + 1) * (beta + 3)
+          + t * (16 * M * n ** 3 + (24 * beta * M + 48 * M) * n ** 2
+                 + (32 * M - 16 * beta ** 2 + 8 * beta ** 2 * M - 48
+                    + 48 * beta * M - 64 * beta) * n
+                 - 48 * beta ** 2 - 8 * beta ** 3 + 16 * beta * M
+                 + 8 * beta ** 2 * M - 48 - 88 * beta))
+    b1 = (8 * M * n ** 3 + (24 * M + 8 * beta * M) * n ** 2
+          + (16 * M + 16 * beta * M - 8 * beta ** 2 - 32 * beta - 24) * n
+          + t * (-16 * M * n ** 3 - (24 * M + 16 * beta * M) * n ** 2
+                 + (64 * beta + 48 + 16 * beta ** 2 - 16 * beta * M
+                    - 8 * M) * n
+                 + 32 * beta + 24 + 8 * beta ** 2 + 8 * beta * M))
+    b2 = (8 * M * n ** 3 - 32 * M * n
+          + t * (-16 * M * n ** 3 - 8 * beta * M * n ** 2 + 40 * M * n
+                 + 8 * beta * M))
+    b3 = (-8 * M * n ** 3 + 32 * M * n
+          + t * (16 * M * n ** 3 - 24 * M * n ** 2 - 40 * M * n + 24 * M))
+    return b0, b1, b2, b3
+
+
+def test_monomial_action_matches_theta_form():
+    # The monomial action reads the limit table; the θ-form is a second
+    # transcription of it. Both are polynomials of degree <= 3 in n on
+    # each parity class, <= 3 in beta and <= 1 in M, so n < 8 on 9 betas
+    # and 6 Ms settles them; brackets below degree 0 must vanish.
+    for beta in GRID_BETAS[::3]:
+        for M in GRID_MS:
+            params = MinusOneParams(beta=beta, M=M)
+            for n in range(8):
+                expected = LaurentPoly.from_terms(
+                    (n - s, b) for s, b in
+                    enumerate(_l0_brackets_theta(n, params)) if b != 0)
+                assert expected.is_proper, (beta, M, n)
+                assert apply_L0_monomial(LaurentPoly.monomial(n),
+                                         params) == expected, (beta, M, n)
+
+
 def test_operator_form_base_cases():
     assert apply_L0_operator(LaurentPoly.one(), STD) == LaurentPoly.zero()
     assert apply_L0_operator(LaurentPoly.x(), DEGEN) == \
