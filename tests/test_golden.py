@@ -7,9 +7,11 @@ report byte for byte.  The set covers every command, JSON and CSV, the
 auto-selected matrix point, a degenerate exit 2 and an eps list on the
 |q| < 1 side.  The rest cover each table command in the format the
 first thirteen miss, a ConfigError payload, a degenerate q point, a
-matrix residual failure (exit 1) and a zero scan tolerance.  The last
+matrix residual failure (exit 1) and a zero scan tolerance.  The next
 four pin the limit-side links and the family generator before their
-rewrite to integer arithmetic.
+rewrite to integer arithmetic, and the last three the q-side closed
+forms (an mpf scan, a deep exact table and a deep q family) before they
+were rewritten to run each q-Pochhammer product once.
 """
 
 import hashlib
@@ -75,6 +77,14 @@ GOLDEN = [
      2, "20bd2fb7b022bd2fc4a44c7f362bb276bdeb65c781438b7b433bb0967144414b"),
     ("gen --family m1 --beta -5 --M 0 --n-max 4",
      2, "d6538722df807f943ba6fc223d8523bbe3b620b2728db2c383349da326c6a4da"),
+    # Recorded before lqj_poly, phi and lambda_q shared their running
+    # q-Pochhammer products.
+    ("limit-scan --beta 5/2 --M -1 --n-max 4",
+     0, "03451d8fa84d8af508d4437434d846f06db4e4b87066ae26a86332eeea2888a2"),
+    ("verify-q --q 7/3 --b -1/2 --M 3 --n-max 12",
+     0, "e91c22fea01ad27aabf9330de41cc639a70b684a549aa932d4c3bd660caf3d6c"),
+    ("gen --family q --q 5/2 --b -2 --M 1/3 --n-max 10 --format csv",
+     0, "0a930d51b192c45a610bfe6c8348cae53b2d4be8804e4b8b309e79d42490c9a3"),
 ]
 
 
