@@ -12,11 +12,18 @@ four pin the limit-side links and the family generator before their
 rewrite to integer arithmetic, and the last three the q-side closed
 forms (an mpf scan, a deep exact table and a deep q family) before they
 were rewritten to run each q-Pochhammer product once.
+
+Run as a script, the module prints "sha256 exit-code argv" for each argv
+line on stdin, so a digest sweep over two source trees is two runs and a
+diff, without pytest:
+
+    PYTHONPATH=src python tests/test_golden.py < argv.txt > digests.txt
 """
 
+import contextlib
 import hashlib
-
-import pytest
+import io
+import sys
 
 from krallm1.cli import main
 
@@ -88,9 +95,26 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("line,code,digest", GOLDEN,
+def report_digest(line: str):
+    """(exit code, SHA-256 of stdout) of one CLI invocation."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(line.split())
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def pytest_generate_tests(metafunc):
+    # A hook rather than a decorator, so the script entry needs no pytest.
+    metafunc.parametrize("line,code,digest", GOLDEN,
                          ids=[line for line, _, _ in GOLDEN])
-def test_report_digest(line, code, digest, capsys):
-    assert main(line.split()) == code
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_report_digest(line, code, digest):
+    assert report_digest(line) == (code, digest)
+
+
+if __name__ == "__main__":
+    for argv in sys.stdin:
+        if argv.strip():
+            code, digest = report_digest(argv)
+            print(digest, code, argv.strip())
