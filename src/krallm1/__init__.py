@@ -15,7 +15,7 @@ from .errors import (DegenerateParameters, DegreeUnderflow,
                      NonPolynomialOutput, NotPositiveDefinite,
                      ResidualExceeded)
 from .exact_core import (DEFAULT_PRECISION, LaurentPoly, format_rational,
-                         parse_rational, poch, qpoch, to_mpf,
+                         parse_rational, poch, qpoch, qpochs, to_mpf,
                          working_precision)
 from .minus_one import (MinusOneParams, MomentSequence, apply_L0_monomial,
                         apply_L0_operator, base_recurrence_m1, epsilon_scan,

@@ -71,16 +71,21 @@ def poch(x, n: int):
     return result
 
 
-def qpoch(a, q, n: int):
-    """q-shifted factorial (a;q)_n = (1-a)(1-aq)...(1-aq^(n-1)); 1 for n=0."""
+def qpochs(a, q, n: int) -> list:
+    """Running q-shifted factorials [(a;q)_0, (a;q)_1, ..., (a;q)_n]."""
     if n < 0:
         raise ValueError("q-Pochhammer order must be nonnegative")
-    result = 1
+    out = [1]
     power = 1
     for _ in range(n):
-        result *= 1 - a * power
+        out.append(out[-1] * (1 - a * power))
         power *= q
-    return result
+    return out
+
+
+def qpoch(a, q, n: int):
+    """q-shifted factorial (a;q)_n = (1-a)(1-aq)...(1-aq^(n-1)); 1 for n=0."""
+    return qpochs(a, q, n)[-1]
 
 
 class LaurentPoly:

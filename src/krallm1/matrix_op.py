@@ -114,8 +114,8 @@ def _five_term_residual(n: int, us, bs, precision: int):
         c_n1 = _coeffs_from_chain(n + 1, us, bs, precision)
         c_n2 = _coeffs_from_chain(n + 2, us, bs, precision)
         lhs = LaurentPoly({2: mpf(1)}) * fs[n]
-        rhs = (c_n.c0 * f(n) + c_n.c1 * f(n - 1) + c_n1.c1 * f(n + 1)
-               + c_n.c2 * f(n - 2) + c_n2.c2 * f(n + 2))
+        rhs = (f(n) * c_n.c0 + f(n - 1) * c_n.c1 + f(n + 1) * c_n1.c1
+               + f(n - 2) * c_n.c2 + f(n + 2) * c_n2.c2)
         diff = lhs - rhs
         return max((abs(c) for c in diff.coeffs.values()), default=mpf(0)), \
             lhs, rhs
@@ -178,7 +178,7 @@ def e_matrix(n: int, params: MinusOneParams,
 
 def _mat_apply(mat: list, e: list) -> list:
     """Scalar 2x2 times matrix polynomial, entrywise Laurent arithmetic."""
-    return [[mat[r][0] * e[0][c] + mat[r][1] * e[1][c] for c in range(2)]
+    return [[e[0][c] * mat[r][0] + e[1][c] * mat[r][1] for c in range(2)]
             for r in range(2)]
 
 

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DegenerateParameters, GeronimusDegenerate, IncompleteTable
-from .exact_core import LaurentPoly, format_rational, qpoch
+from .exact_core import LaurentPoly, format_rational, qpoch, qpochs
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,17 @@ class QJacobiParams:
     @property
     def a(self):
         return self.q ** self.j
+
+    @cached_property
+    def degree_free(self) -> tuple:
+        """Factors of ``phi`` and ``lambda_q`` that no degree changes:
+        1-q^j, q^(j+1), 1-bq^(j+1), 1-q^(-j-1), [(q;q)_0 .. (q;q)_j] and
+        [(bq;q)_0 .. (bq;q)_(j+1)].  Computed once per point, in mpf at
+        the precision of the first call."""
+        q, b, j = self.q, self.b, self.j
+        qj1 = q ** (j + 1)
+        return (1 - q ** j, qj1, 1 - b * qj1, 1 - q ** (-j - 1),
+                qpochs(q, q, j), qpochs(b * q, q, j + 1))
 
     def as_dict(self) -> dict:
         out = {}
@@ -80,9 +92,18 @@ def lqj_coeff(n: int, s: int, params: QJacobiParams):
 
 
 def lqj_poly(n: int, params: QJacobiParams) -> LaurentPoly:
-    """Monic little q-Jacobi polynomial sum_s B_n^(s) x^(n-s)."""
-    return LaurentPoly({n - s: lqj_coeff(n, s, params)
-                        for s in range(n + 1)})
+    """Monic little q-Jacobi polynomial sum_s B_n^(s) x^(n-s), each of the
+    four q-Pochhammer products of ``lqj_coeff`` run once up to s = n."""
+    q, b, a = params.q, params.b, params.a
+    top, low, qq, den = (qpochs(x, q, n) for x in (
+        q ** (-n), a ** -1 * q ** (-n), q, a ** -1 * b ** -1 * q ** (-2 * n)))
+    coeffs = {}
+    for s in range(n + 1):
+        num = top[s] * low[s]
+        coeffs[n - s] = b ** (-s) * num / (
+            _nonzero(qq[s], f"(q;q)_{s}")
+            * _nonzero(den[s], f"(1/(ab) q^-{2 * n};q)_{s}"))
+    return LaurentPoly(coeffs)
 
 
 def lqj_recurrence(n: int, params: QJacobiParams):
@@ -132,15 +153,15 @@ def phi(n: int, params: QJacobiParams):
                   / [ (1-q^j) (q^(n+1);q)_j (bq^(n+1);q)_j ] ).
     """
     q, b, j, M = params.q, params.b, params.j, params.M
-    _nonzero(1 - q ** j, "(1-q^j)")
+    one_qj, qj1, one_bqj1, _, qq, bqq = params.degree_free
+    _nonzero(one_qj, "(1-q^j)")
     den_j = _nonzero(qpoch(q ** (n + 1), q, j), f"(q^{n + 1};q)_{j}") * \
         _nonzero(qpoch(b * q ** (n + 1), q, j), f"(bq^{n + 1};q)_{j}")
     pref_den = _nonzero(qpoch(b * q ** (n + j + 1), q, n),
                         f"(bq^{n + j + 1};q)_{n}")
     sign = 1 if n % 2 == 0 else -1
-    prefactor = sign * q ** (n * (n - 1) // 2) * qpoch(q ** (j + 1), q, n) / pref_den
-    inner = M - q ** (n * j) * (1 - b * q ** (j + 1)) * \
-        qpoch(b * q, q, j) * qpoch(q, q, j) / ((1 - q ** j) * den_j)
+    prefactor = sign * q ** (n * (n - 1) // 2) * qpoch(qj1, q, n) / pref_den
+    inner = M - q ** (n * j) * one_bqj1 * bqq[j] * qq[j] / (one_qj * den_j)
     return prefactor * inner
 
 
@@ -156,7 +177,7 @@ def geronimus_family(max_n: int, params: QJacobiParams) -> list:
         if phis[n - 1] == 0:
             raise GeronimusDegenerate(n, f"Phi_{n - 1} = 0")
         cur = lqj_poly(n, params)
-        polys.append(cur - (phis[n] / phis[n - 1]) * prev)
+        polys.append(cur - prev * (phis[n] / phis[n - 1]))
         prev = cur
     return polys
 
@@ -230,20 +251,20 @@ class RepCoeffTable:
 def lambda_q(n: int, params: QJacobiParams):
     """Eigenvalue lambda_n = A_n^(0) of the q-difference operator."""
     q, b, j, M = params.q, params.b, params.j, params.M
+    *_, one_qinv, qq, bqq = params.degree_free
     t1 = M * (q - 1) * q ** (-n * (j + 1) - 1) * qpoch(q ** n, q, j + 1) * \
-        qpoch(b * q ** n, q, j + 1) / _nonzero(1 - q ** (-j - 1),
-                                               "(1-q^(-j-1))")
-    t2 = (q ** (-n) - 1) * (1 - b * q ** (n + j)) * \
-        qpoch(b * q, q, j + 1) * qpoch(q, q, j - 1)
+        qpoch(b * q ** n, q, j + 1) / _nonzero(one_qinv, "(1-q^(-j-1))")
+    t2 = (q ** (-n) - 1) * (1 - b * q ** (n + j)) * bqq[j + 1] * qq[j - 1]
     return t1 - t2
 
 
 def _paper_a1(n, params):
     q, b, j, M = params.q, params.b, params.j, params.M
+    *_, qq, bqq = params.degree_free
     return (1 - q ** (-n)) * (
         M * q ** (j * (1 - n)) * qpoch(q ** (n + 1), q, j)
         * qpoch(b * q ** n, q, j) * (1 - q ** (n - 1))
-        - qpoch(q, q, j - 1) * qpoch(b * q, q, j + 1) * (1 - q ** (n + j - 1)))
+        - qq[j - 1] * bqq[j + 1] * (1 - q ** (n + j - 1)))
 
 
 def _paper_a2(n, params):

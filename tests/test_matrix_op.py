@@ -5,12 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mpf, sqrt
+from mpmath import mp, mpf, sqrt
 
 from krallm1 import (LaurentPoly, MinusOneParams, NotPositiveDefinite,
-                     ResidualExceeded, d_matrix, default_tolerance, e_matrix,
+                     QJacobiParams, ResidualExceeded, d_matrix,
+                     default_tolerance, e_matrix,
                      find_positive_definite_point, five_term_check,
-                     gen_poly_family, matrix_poly, matrix_recurrence_check,
+                     gen_poly_family, geronimus_family, matrix_poly, matrix_recurrence_check,
                      r_nm, split_even_odd, transformed_recurrence_m1,
                      working_precision)
 from krallm1.matrix_op import (_chains, _coeffs_from_chain,
@@ -196,6 +197,22 @@ def test_matrix_recurrence_residual_exceeded():
     with pytest.raises(ResidualExceeded) as err:
         matrix_recurrence_check(2, POINT, tol=F(1, 10 ** 99), precision=60)
     assert err.value.location
+
+
+def test_mpf_scaling_never_formats_the_polynomial(monkeypatch):
+    # mpf * LaurentPoly first tries to convert the polynomial to mpf, and
+    # the failed conversion formats it with repr; poly * mpf does not.
+    def no_repr(self):
+        raise AssertionError("LaurentPoly formatted for a scalar product")
+
+    monkeypatch.setattr(LaurentPoly, "__repr__", no_repr)
+    with working_precision(80):
+        eps = mpf("1e-3")
+        point = QJacobiParams(q=-mp.exp(eps), b=-mp.exp(eps / 2), j=2,
+                              M=mpf(-1) / 4)
+        assert len(geronimus_family(4, point)) == 5
+    assert five_term_check(2, POINT, precision=60).ok
+    assert matrix_recurrence_check(2, POINT, precision=60).ok
 
 
 def test_default_tolerance_follows_precision_up_to_1e_40():

@@ -9,7 +9,7 @@ from mpmath import mp, mpf
 from krallm1 import (ABSENT, DegenerateParameters, GeronimusDegenerate,
                      IncompleteTable, LaurentPoly, QJacobiParams, apply_Lq,
                      geronimus_family, lambda_q, lqj_coeff,
-                     lqj_poly, lqj_recurrence, phi, qn_zero, qpoch,
+                     lqj_poly, lqj_recurrence, phi, qn_zero, qpoch, qpochs,
                      rep_coeff_paper, rep_coeff_reconstruct, to_mpf,
                      transformed_recurrence, working_precision)
 from conftest import random_q_params
@@ -78,6 +78,38 @@ def test_coeff_frozen_values():
 def test_monic():
     for n in range(9):
         assert lqj_poly(n, P2).leading_coeff == 1
+
+
+def scan_point(digits):
+    """The limit-scan point q = -e^eps, b = -e^(beta eps), j = 2 at
+    eps = 1e-3, beta = 1/2, M = -1/4, built at ``digits``."""
+    with working_precision(digits):
+        eps = mpf("1e-3")
+        return QJacobiParams(q=-mp.exp(eps), b=-mp.exp(eps / 2), j=2,
+                             M=mpf(-1) / 4)
+
+
+@pytest.mark.parametrize("digits", [80, 110])
+def test_running_qpochs_match_qpoch(digits):
+    # One pass must give each prefix product with the very operations a
+    # fresh qpoch would use: equal Fractions, and equal mpf bits.
+    point = scan_point(digits)
+    with working_precision(digits):
+        cases = [(F(3, 7), F(2), 9), (F(-5, 2), F(1, 3), 6),
+                 (point.q ** -7, point.q, 7), (point.b * point.q, point.q, 5)]
+        for a, q, n in cases:
+            assert qpochs(a, q, n) == [qpoch(a, q, s) for s in range(n + 1)]
+
+
+@pytest.mark.parametrize("digits", [80, 110])
+def test_one_pass_poly_matches_coefficients(digits):
+    point = scan_point(digits)
+    with working_precision(digits):
+        for params in (P1, P2, P3, point):
+            for n in range(8):
+                poly = lqj_poly(n, params)
+                assert poly.coeffs == {n - s: lqj_coeff(n, s, params)
+                                       for s in range(n + 1)}
         assert lqj_poly(n, P2).degree == n
 
 
@@ -161,6 +193,9 @@ def test_degenerate_factors_are_named():
     with pytest.raises(DegenerateParameters) as err:
         lqj_coeff(1, 1, params)
     assert "vanishes" in str(err.value)
+    with pytest.raises(DegenerateParameters) as err:
+        lqj_poly(1, params)
+    assert str(err.value) == "factor (1/(ab) q^-2;q)_1 vanishes"
     # abq^2 = 1 makes (abq; q)_n vanish for n >= 2
     with pytest.raises(DegenerateParameters):
         qn_zero(2, params)
