@@ -95,14 +95,14 @@ def lqj_poly(n: int, params: QJacobiParams) -> LaurentPoly:
     """Monic little q-Jacobi polynomial sum_s B_n^(s) x^(n-s), each of the
     four q-Pochhammer products of ``lqj_coeff`` run once up to s = n."""
     q, b, a = params.q, params.b, params.a
-    top, low, qq, den = (qpochs(x, q, n) for x in (
+    num_q, num_a, den_q, den_ab = (qpochs(x, q, n) for x in (
         q ** (-n), a ** -1 * q ** (-n), q, a ** -1 * b ** -1 * q ** (-2 * n)))
     coeffs = {}
     for s in range(n + 1):
-        num = top[s] * low[s]
-        coeffs[n - s] = b ** (-s) * num / (
-            _nonzero(qq[s], f"(q;q)_{s}")
-            * _nonzero(den[s], f"(1/(ab) q^-{2 * n};q)_{s}"))
+        num = num_q[s] * num_a[s]
+        den = _nonzero(den_q[s], f"(q;q)_{s}") * \
+            _nonzero(den_ab[s], f"(1/(ab) q^-{2 * n};q)_{s}")
+        coeffs[n - s] = b ** (-s) * num / den
     return LaurentPoly(coeffs)
 
 
