@@ -11,9 +11,9 @@ from krallm1 import (LaurentPoly, MinusOneParams, NotPositiveDefinite,
                      QJacobiParams, ResidualExceeded, d_matrix,
                      default_tolerance, e_matrix,
                      find_positive_definite_point, five_term_check,
-                     gen_poly_family, geronimus_family, matrix_poly, matrix_recurrence_check,
-                     r_nm, split_even_odd, transformed_recurrence_m1,
-                     working_precision)
+                     gen_poly_family, geronimus_family, matrix_poly,
+                     matrix_recurrence_check, r_nm, split_even_odd,
+                     transformed_recurrence_m1, working_precision)
 from krallm1.matrix_op import (_chains, _coeffs_from_chain,
                                _f_polys_from_chain, _five_term_residual)
 from krallm1.minus_one import family_from_chain

@@ -78,6 +78,7 @@ def test_coeff_frozen_values():
 def test_monic():
     for n in range(9):
         assert lqj_poly(n, P2).leading_coeff == 1
+        assert lqj_poly(n, P2).degree == n
 
 
 def scan_point(digits):
@@ -110,7 +111,6 @@ def test_one_pass_poly_matches_coefficients(digits):
                 poly = lqj_poly(n, params)
                 assert poly.coeffs == {n - s: lqj_coeff(n, s, params)
                                        for s in range(n + 1)}
-        assert lqj_poly(n, P2).degree == n
 
 
 # -- three-term recurrence ----------------------------------------------------
