@@ -11,7 +11,9 @@ matrix residual failure (exit 1) and a zero scan tolerance.  The next
 four pin the limit-side links and the family generator before their
 rewrite to integer arithmetic, and the last three the q-side closed
 forms (an mpf scan, a deep exact table and a deep q family) before they
-were rewritten to run each q-Pochhammer product once.
+were rewritten to run each q-Pochhammer product once.  The last four
+pin the F-polynomial and Phi paths of matrix-verify and verify-q before
+each was made to build only what its checks read.
 
 Run as a script, the module prints "sha256 exit-code argv" for each argv
 line on stdin, so a digest sweep over two source trees is two runs and a
@@ -92,6 +94,19 @@ GOLDEN = [
      0, "e91c22fea01ad27aabf9330de41cc639a70b684a549aa932d4c3bd660caf3d6c"),
     ("gen --family q --q 5/2 --b -2 --M 1/3 --n-max 10 --format csv",
      0, "0a930d51b192c45a610bfe6c8348cae53b2d4be8804e4b8b309e79d42490c9a3"),
+    # Recorded before matrix_op built only the F-polynomials each check
+    # reads and verify-q shared one Phi list: a deep matrix point at 100
+    # digits, a deep exact q table in CSV, a Phi_2 = 0 exit at degree 3
+    # (the error precedence once Phi is computed up front) and a point
+    # with Phi_3 = 0 exactly at n-max.
+    ("matrix-verify --beta 1/2 --M -1/4 --n-max 10 --precision 100",
+     0, "f533ac39a2740ed14d5b8dee08071972f52b91c023602b7037ecb9467bd10117"),
+    ("verify-q --q 12/5 --b -11/7 --M 9/4 --n-max 16 --format csv",
+     0, "26e88ddefc1c2effa7f13147a0a7607810812845443f894e50b9a1a00ac08987"),
+    ("verify-q --q 2 --b 3 --M 176/987 --n-max 5",
+     2, "6a29158396be3f5fd148b8e16b3ead286c414296c7dd548723314f128ad1683a"),
+    ("verify-q --q 2 --b 3 --M 16192/415245 --n-max 3",
+     0, "654bc55ea4c9995b1eee86c62f0c9bf36618c470ce9cb78e613d99708c66b430"),
 ]
 
 
