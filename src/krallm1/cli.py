@@ -275,14 +275,17 @@ def verify_q_suite(params: QJacobiParams, n_max: int) -> VerificationReport:
             check="representation-agreement", params=point, n=n,
             status="pass" if not mismatches else "fail",
             lhs=str(mismatches) if mismatches else "", rhs="", residual=""))
-    family = qjacobi.geronimus_family(n_max, params)
+    family = recon.family
     for n, poly in enumerate(family):
         report.add(exact_check("eigen-q", point, n,
                                qjacobi.apply_Lq(poly, recon),
                                qjacobi.lambda_q(n, params) * poly))
+    # The family's Phi_0 .. Phi_n_max; at n_max = 0 it has none, so Phi_0.
+    phis = recon.phis or [qjacobi.phi(0, params)]
+    recs = [qjacobi.lqj_recurrence(n, params) for n in range(n_max)]
     x = LaurentPoly.x()
-    for n in range(1, n_max):
-        un, bn = qjacobi.transformed_recurrence(n, params)
+    chain = qjacobi.transformed_chain(phis, recs)
+    for n, (un, bn) in enumerate(chain[1:], 1):
         report.add(exact_check(
             "transformed-recurrence", point, n,
             family[n + 1] + bn * family[n] + un * family[n - 1],
@@ -290,9 +293,7 @@ def verify_q_suite(params: QJacobiParams, n_max: int) -> VerificationReport:
     # The Geronimus data obeys the same three-term recurrence as the
     # polynomials, seeded by Phi_1 = -b_0 Phi_0 - 1 under the unit weight,
     # which checks the second-kind closed form against the recurrence.
-    phis = [qjacobi.phi(n, params) for n in range(n_max + 1)]
-    for n in range(n_max):
-        un, bn = qjacobi.lqj_recurrence(n, params)
+    for n, (un, bn) in enumerate(recs):
         rhs = -bn * phis[n] - (un * phis[n - 1] if n else 1)
         report.add(CheckResult(
             check="second-kind-recurrence" if n else "second-kind-seed",
@@ -340,7 +341,7 @@ def limit_scan_suite(params: MinusOneParams, n_max: int, eps_list,
 
 def _gen_table(point, args):
     generate = (minus_one.gen_poly_family if args.family == "m1"
-                else qjacobi.geronimus_family)
+                else lambda n, p: qjacobi.geronimus_family(n, p)[1])
     rows = [(n, d, format_rational(poly.coeffs[d]))
             for n, poly in enumerate(generate(args.n_max, point))
             for d in sorted(poly.coeffs, reverse=True)]

@@ -19,8 +19,8 @@ from .errors import (GeronimusDegenerate, NotPositiveDefinite,
                      ResidualExceeded)
 from .exact_core import (DEFAULT_PRECISION, LaurentPoly, format_float, to_mpf,
                          working_precision)
-from .minus_one import (MinusOneParams, family_from_chain,
-                        is_positive_definite, transformed_recurrence_m1)
+from .minus_one import (MinusOneParams, family_rows, is_positive_definite,
+                        transformed_recurrence_m1)
 from .report import CheckResult, VerificationReport
 
 
@@ -85,37 +85,35 @@ def _coeffs_from_chain(n: int, us, bs,
     return FiveTermCoeffs(c0=c0, c1=c1, c2=c2)
 
 
-def _f_polys_from_chain(count: int, us, bs, precision: int) -> list:
-    """Renormalized even parts F_k = E_k / sigma_k for k < count, in mpf:
-    E_k is the even-degree part of P_k, sigma_k = sqrt(u~_1)...sqrt(u~_k)."""
-    family = family_from_chain(us, bs, count)
+def _f_polys_from_chain(start: int, stop: int, us, bs, precision: int) -> list:
+    """Renormalized even parts F_k = E_k / sigma_k for start <= k < stop, in
+    mpf: E_k is the even-degree part of P_k, sigma_k = sqrt(u~_1)...sqrt(u~_k).
+    sigma runs over every k < stop; only the window is converted."""
     out = []
     with working_precision(precision):
         sigma = mpf(1)
-        for k in range(count):
+        for k, (num, den) in enumerate(family_rows(us, bs, stop)):
             if k >= 1:
                 sigma *= mp.sqrt(to_mpf(us[k]))
-            out.append(LaurentPoly({d: to_mpf(c) / sigma for d, c
-                                    in family[k].coeffs.items()
-                                    if d % 2 == 0}))
+            if k >= start:
+                out.append(LaurentPoly({
+                    d: to_mpf(Fraction(num[d], den)) / sigma
+                    for d in range(k - k % 2, -1, -2)}))
     return out
 
 
 def _five_term_residual(n: int, us, bs, precision: int):
     """Max coefficient deviation in the five-term identity at index n."""
     with working_precision(precision):
-        fs = _f_polys_from_chain(n + 3, us, bs, precision)
-        zero = LaurentPoly.zero()
-
-        def f(k):
-            return fs[k] if k >= 0 else zero
-
+        pad = max(2 - n, 0)  # F_k = 0 for k < 0
+        fm2, fm1, f0, fp1, fp2 = [LaurentPoly.zero()] * pad + \
+            _f_polys_from_chain(n - 2 + pad, n + 3, us, bs, precision)
         c_n = _coeffs_from_chain(n, us, bs, precision)
         c_n1 = _coeffs_from_chain(n + 1, us, bs, precision)
         c_n2 = _coeffs_from_chain(n + 2, us, bs, precision)
-        lhs = LaurentPoly({2: mpf(1)}) * fs[n]
-        rhs = (f(n) * c_n.c0 + f(n - 1) * c_n.c1 + f(n + 1) * c_n1.c1
-               + f(n - 2) * c_n.c2 + f(n + 2) * c_n2.c2)
+        lhs = LaurentPoly({2: mpf(1)}) * f0
+        rhs = (f0 * c_n.c0 + fm1 * c_n.c1 + fp1 * c_n1.c1
+               + fm2 * c_n.c2 + fp2 * c_n2.c2)
         diff = lhs - rhs
         return max((abs(c) for c in diff.coeffs.values()), default=mpf(0)), \
             lhs, rhs
@@ -154,8 +152,8 @@ def matrix_poly(n: int, params: MinusOneParams,
     """2x2 matrix polynomial whose row r is
     (R_(2,0)(F_(2n+r)), R_(2,1)(F_(2n+r)))."""
     us, bs = _chains(params, 2 * n + 1)
-    fs = _f_polys_from_chain(2 * n + 2, us, bs, precision)
-    return [[r_nm(f, 2, 0), r_nm(f, 2, 1)] for f in fs[2 * n:]]
+    fs = _f_polys_from_chain(2 * n, 2 * n + 2, us, bs, precision)
+    return [[r_nm(f, 2, 0), r_nm(f, 2, 1)] for f in fs]
 
 
 def d_matrix(n: int, params: MinusOneParams,

@@ -168,9 +168,9 @@ def transformed_recurrence_m1(n: int, params: MinusOneParams):
     return base_recurrence_m1(n - 1, params)[0] * b_n / b_prev, bn
 
 
-def family_from_chain(us, bs, count: int) -> list:
-    """Monic polynomials P_0 .. P_(count-1) of the recurrence chain:
-    P_1 = x - b_0,  P_(k+1) = x P_k - b_k P_k - u_k P_(k-1).
+def family_rows(us, bs, count: int) -> list:
+    """(numerators, denominator) of the monic P_0 .. P_(count-1) of the
+    recurrence chain P_1 = x - b_0,  P_(k+1) = x P_k - b_k P_k - u_k P_(k-1).
 
     Fraction-free (after Bareiss): integer coefficients of P_k, lowest
     degree first, over one denominator, reduced by their gcd each step."""
@@ -188,9 +188,14 @@ def family_from_chain(us, bs, count: int) -> list:
                for xc, c, pc in zip([0] + cur, cur + [0], prev + [0, 0])]
         g = gcd(den, *new)
         polys.append(([v // g for v in new], den // g))
+    return polys
+
+
+def family_from_chain(us, bs, count: int) -> list:
+    """Monic polynomials P_0 .. P_(count-1) of the recurrence chain."""
     return [LaurentPoly({d: Fraction(num[d], den)
                          for d in range(len(num) - 1, -1, -1)})
-            for num, den in polys]
+            for num, den in family_rows(us, bs, count)]
 
 
 def gen_poly_family(max_n: int, params: MinusOneParams) -> list:

@@ -165,12 +165,12 @@ def phi(n: int, params: QJacobiParams):
     return prefactor * inner
 
 
-def geronimus_family(max_n: int, params: QJacobiParams) -> list:
-    """Transformed polynomials P~_0 .. P~_max_n,
-    P~_n = P_n - (Phi_n/Phi_(n-1)) P_(n-1)."""
+def geronimus_family(max_n: int, params: QJacobiParams):
+    """(Phi_0 .. Phi_max_n, or [] at max_n = 0, and the transformed
+    polynomials P~_0 .. P~_max_n), P~_n = P_n - (Phi_n/Phi_(n-1)) P_(n-1)."""
     polys = [LaurentPoly.one()]
     if max_n == 0:
-        return polys
+        return [], polys
     phis = [phi(n, params) for n in range(max_n + 1)]
     prev = lqj_poly(0, params)
     for n in range(1, max_n + 1):
@@ -179,7 +179,7 @@ def geronimus_family(max_n: int, params: QJacobiParams) -> list:
         cur = lqj_poly(n, params)
         polys.append(cur - prev * (phis[n] / phis[n - 1]))
         prev = cur
-    return polys
+    return phis, polys
 
 
 def _ratio_B(n: int, params: QJacobiParams):
@@ -214,6 +214,19 @@ def transformed_recurrence(n: int, params: QJacobiParams):
     return lqj_recurrence(n - 1, params)[0] * b_n / b_prev, bn
 
 
+def transformed_chain(phis: list, recs: list) -> list:
+    """``transformed_recurrence`` for n < len(recs) from the nonzero Phi_0 ..
+    Phi_(len(recs)-1), Phi_len(recs) and recs[n] = lqj_recurrence(n), with
+    each B_n = Phi_n/Phi_(n-1) taken once."""
+    ratios = [None] + [phis[k] / phis[k - 1] for k in range(1, len(phis))]
+    chain = [(0 * recs[0][1], recs[0][1] + ratios[1])] if recs else []
+    for n in range(1, len(recs)):
+        un = phis[1] / phis[0] ** 2 if n == 1 else \
+            recs[n - 1][0] * ratios[n] / ratios[n - 1]
+        chain.append((un, recs[n][1] + ratios[n + 1] - ratios[n]))
+    return chain
+
+
 # ---------------------------------------------------------------------------
 # Representation coefficients
 # ---------------------------------------------------------------------------
@@ -233,11 +246,14 @@ class RepCoeffTable:
     """Monomial-action coefficients A_n^(s) for 0 <= s, n <= max_n.
 
     ``entries[(n, s)]`` is a scalar or ABSENT.  A_n^(0) is the eigenvalue
-    of the transformed polynomial of degree n.
+    of the transformed polynomial of degree n.  A reconstructed table keeps
+    the ``geronimus_family`` (Phi list, polynomials) it was solved against.
     """
 
     max_n: int
     entries: dict
+    phis: list = ()
+    family: list = ()
 
     def value(self, n: int, s: int):
         if not (0 <= n <= self.max_n and 0 <= s <= self.max_n):
@@ -312,7 +328,7 @@ def rep_coeff_reconstruct(params: QJacobiParams, max_n: int) -> RepCoeffTable:
     lambda_n is taken from the closed forms, so agreement of this table
     with ``rep_coeff_paper`` on s = 1, 2 is a genuine cross-validation.
     """
-    family = geronimus_family(max_n, params)
+    phis, family = geronimus_family(max_n, params)
     lambdas = [lambda_q(n, params) for n in range(max_n + 1)]
     entries = {}
     for n in range(max_n + 1):
@@ -326,7 +342,7 @@ def rep_coeff_reconstruct(params: QJacobiParams, max_n: int) -> RepCoeffTable:
             entries[(n, r)] = acc
         for s in range(n + 1, max_n + 1):
             entries[(n, s)] = Fraction(0)
-    return RepCoeffTable(max_n, entries)
+    return RepCoeffTable(max_n, entries, phis, family)
 
 
 def apply_Lq(p: LaurentPoly, table: RepCoeffTable) -> LaurentPoly:

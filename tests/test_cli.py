@@ -165,6 +165,18 @@ def test_verify_q_degree_zero(capsys):
         [("representation-agreement", 0), ("eigen-q", 0)]
 
 
+@pytest.mark.parametrize("n_max", ["0", "3"])
+def test_verify_q_vanishing_phi0_factor_exits_two(n_max, capsys):
+    # b = 1/q makes (bq;q)_2 of Phi_0 vanish.  At n-max 0 the family needs
+    # no Phi, but the point is still degenerate.
+    code, out = run_cli(["verify-q", "--q", "2", "--b", "1/2", "--M", "1",
+                         "--n-max", n_max], capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "message": "factor (bq^1;q)_2 vanishes",
+        "type": "DegenerateParameters"}
+
+
 def test_limit_scan_small_grid_passes(capsys):
     code, out = run_cli(["limit-scan", "--beta", "1", "--M", "1",
                          "--n-max", "1", "--eps-list", "1e-2,1e-3"], capsys)

@@ -77,15 +77,25 @@ def test_boundary_coefficients_vanish():
     assert c0.c1 == 0 and c0.c2 == 0
     assert _coeffs_from_chain(1, us, bs, 60).c2 == 0
     # sigma_0 = 1: F_0 is E_0 = 1 itself.
-    assert _f_polys_from_chain(1, us, bs, 60)[0] == LaurentPoly({0: mpf(1)})
+    assert _f_polys_from_chain(0, 1, us, bs, 60)[0] == \
+        LaurentPoly({0: mpf(1)})
 
 
+@pytest.mark.parametrize("start", [0, 3, 10])
 @pytest.mark.parametrize("params", [
     POINT, MinusOneParams(beta=F(3, 2), M=F(-1, 3))])
-def test_f_polys_are_even_parts_over_sigma(params):
+def test_f_polys_are_even_parts_over_sigma(params, start):
     us, bs = _chains(params, 11)
     family = family_from_chain(us, bs, 12)
-    fs = _f_polys_from_chain(12, us, bs, 60)
+    fs = _f_polys_from_chain(0, 12, us, bs, 60)
+    # A window [start, stop) converts only its own F_k, but each must be
+    # the full build's F_k to the last bit.
+    stop = min(start + 5, 12)
+    window = _f_polys_from_chain(start, stop, us, bs, 60)
+    assert len(window) == stop - start
+    for k, f in enumerate(window, start):
+        assert f.coeffs == fs[k].coeffs
+        assert list(f.coeffs) == list(fs[k].coeffs)
     with working_precision(60):
         sigma = mpf(1)
         for k, f in enumerate(fs):
@@ -210,7 +220,7 @@ def test_mpf_scaling_never_formats_the_polynomial(monkeypatch):
         eps = mpf("1e-3")
         point = QJacobiParams(q=-mp.exp(eps), b=-mp.exp(eps / 2), j=2,
                               M=mpf(-1) / 4)
-        assert len(geronimus_family(4, point)) == 5
+        assert len(geronimus_family(4, point)[1]) == 5
     assert five_term_check(2, POINT, precision=60).ok
     assert matrix_recurrence_check(2, POINT, precision=60).ok
 

@@ -12,6 +12,7 @@ from krallm1 import (ABSENT, DegenerateParameters, GeronimusDegenerate,
                      lqj_poly, lqj_recurrence, phi, qn_zero, qpoch, qpochs,
                      rep_coeff_paper, rep_coeff_reconstruct, to_mpf,
                      transformed_recurrence, working_precision)
+from krallm1.qjacobi import transformed_chain
 from conftest import random_q_params
 
 F = Fraction
@@ -216,12 +217,12 @@ def test_second_kind_recurrence():
 # -- Geronimus transform -------------------------------------------------------
 
 def test_geronimus_degree_zero():
-    assert geronimus_family(0, P1) == [LaurentPoly.one()]
+    assert geronimus_family(0, P1) == ([], [LaurentPoly.one()])
 
 
 def test_geronimus_monic(rng):
     for params in random_q_params(rng, 3, need_degrees=10):
-        for n, poly in enumerate(geronimus_family(10, params)):
+        for n, poly in enumerate(geronimus_family(10, params)[1]):
             assert poly.degree == n
             assert poly.leading_coeff == 1
 
@@ -239,10 +240,32 @@ def test_geronimus_degenerate_mass():
 def test_transformed_recurrence_replay():
     x = LaurentPoly.x()
     for params in (P1, P2):
-        fam = geronimus_family(9, params)
+        fam = geronimus_family(9, params)[1]
         for n in range(1, 8):
             un, bn = transformed_recurrence(n, params)
             assert fam[n + 1] + bn * fam[n] + un * fam[n - 1] == x * fam[n]
+
+
+def test_transformed_chain_matches_transformed_recurrence():
+    # verify-q reads (u~_n, b~_n) off one Phi list and one lqj_recurrence
+    # per degree; transformed_recurrence recomputes Phi for every n.
+    for params in (P1, P2):
+        phis, _ = geronimus_family(8, params)
+        assert phis == [phi(n, params) for n in range(9)]
+        recs = [lqj_recurrence(n, params) for n in range(8)]
+        chain = transformed_chain(phis, recs)
+        assert len(chain) == 8
+        for n, pair in enumerate(chain):
+            assert pair == transformed_recurrence(n, params), n
+            assert all(type(v) is F for v in pair)
+
+
+def test_reconstructed_table_keeps_its_family():
+    phis, family = geronimus_family(6, P2)
+    table = rep_coeff_reconstruct(P2, 6)
+    assert (table.phis, table.family) == (phis, family)
+    assert rep_coeff_reconstruct(P2, 0).phis == []
+    assert transformed_chain([phi(0, P2)], []) == []
 
 
 def test_transformed_b0_at_mass_zero():
@@ -315,7 +338,7 @@ def test_apply_on_constant():
 
 def test_apply_eigen_identity():
     table = rep_coeff_reconstruct(P2, 8)
-    fam = geronimus_family(8, P2)
+    fam = geronimus_family(8, P2)[1]
     for n in range(9):
         assert apply_Lq(fam[n], table) == lambda_q(n, P2) * fam[n]
 
