@@ -280,7 +280,7 @@ def verify_q_suite(params: QJacobiParams, n_max: int) -> VerificationReport:
         report.add(exact_check("eigen-q", point, n,
                                qjacobi.apply_Lq(poly, recon),
                                qjacobi.lambda_q(n, params) * poly))
-    # The family's Phi_0 .. Phi_n_max; at n_max = 0 it has none, so Phi_0.
+    # The family's Phi list; at n_max = 0 it is empty, but Phi_0 must exist.
     phis = recon.phis or [qjacobi.phi(0, params)]
     recs = [qjacobi.lqj_recurrence(n, params) for n in range(n_max)]
     x = LaurentPoly.x()

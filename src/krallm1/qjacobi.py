@@ -215,9 +215,9 @@ def transformed_recurrence(n: int, params: QJacobiParams):
 
 
 def transformed_chain(phis: list, recs: list) -> list:
-    """``transformed_recurrence`` for n < len(recs) from the nonzero Phi_0 ..
-    Phi_(len(recs)-1), Phi_len(recs) and recs[n] = lqj_recurrence(n), with
-    each B_n = Phi_n/Phi_(n-1) taken once."""
+    """transformed_recurrence(n) for n < len(recs), from Phi_0 .. Phi_len(recs)
+    (all but the last nonzero) and recs[n] = lqj_recurrence(n), with each
+    B_n = Phi_n/Phi_(n-1) taken once."""
     ratios = [None] + [phis[k] / phis[k - 1] for k in range(1, len(phis))]
     chain = [(0 * recs[0][1], recs[0][1] + ratios[1])] if recs else []
     for n in range(1, len(recs)):
