@@ -71,21 +71,24 @@ def poch(x, n: int):
     return result
 
 
-def qpochs(a, q, n: int) -> list:
-    """Running q-shifted factorials [(a;q)_0, (a;q)_1, ..., (a;q)_n]."""
-    if n < 0:
-        raise ValueError("q-Pochhammer order must be nonnegative")
-    out = [1]
-    power = 1
-    for _ in range(n):
-        out.append(out[-1] * (1 - a * power))
-        power *= q
-    return out
+def qpochs(a, powers, run=None) -> list:
+    """Running q-shifted factorials [(a;q)_0, ..., (a;q)_n] over ``powers``
+    = [q^0, ..., q^(n-1)]; a given ``run`` [(a;q)_0, ...] grows in place."""
+    run = [1] if run is None else run
+    for power in powers[len(run) - 1:]:
+        run.append(run[-1] * (1 - a * power))
+    return run
 
 
 def qpoch(a, q, n: int):
     """q-shifted factorial (a;q)_n = (1-a)(1-aq)...(1-aq^(n-1)); 1 for n=0."""
-    return qpochs(a, q, n)[-1]
+    if n < 0:
+        raise ValueError("q-Pochhammer order must be nonnegative")
+    result = power = 1
+    for _ in range(n):
+        result *= 1 - a * power
+        power *= q
+    return result
 
 
 class LaurentPoly:

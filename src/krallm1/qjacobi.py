@@ -29,6 +29,10 @@ class QJacobiParams:
 
     The classical positivity window 0 < aq < 1, b < 1/q is not enforced:
     the q -> -1 track deliberately leaves it.
+
+    Values the closed forms share across degrees are memoized per point,
+    each by the operations a fresh computation would use; an mpf is rounded
+    at the precision of its first use, so use a point at one precision.
     """
 
     q: object
@@ -44,20 +48,37 @@ class QJacobiParams:
         if self.b == 0:
             raise DegenerateParameters("b must be nonzero")
 
-    @property
+    @cached_property
     def a(self):
         return self.q ** self.j
 
     @cached_property
+    def _memo(self) -> dict:
+        return {"powers": [1], "q": [1], "qj1": [1]}
+
+    def pow(self, base: str, e: int):
+        """q^e, b^e or a^e (``base`` "q", "b" or "a"), once per exponent."""
+        if (base, e) not in self._memo:
+            self._memo[base, e] = getattr(self, base) ** e
+        return self._memo[base, e]
+
+    def qpochs(self, x, n: int, name: str = "") -> list:
+        """[(x;q)_0, ..., (x;q)_n] over the kept powers q^0, q^1, ..., each
+        the one before times q.  A ``name`` ("q" for x = q, "qj1" for x =
+        q^(j+1)) keeps the list as x's run, extended as n grows."""
+        powers = self._memo["powers"]
+        while len(powers) < n:
+            powers.append(powers[-1] * self.q)
+        return qpochs(x, powers[:n], self._memo.get(name))[:n + 1]
+
+    @cached_property
     def degree_free(self) -> tuple:
-        """Factors of ``phi`` and ``lambda_q`` that no degree changes:
-        1-q^j, q^(j+1), 1-bq^(j+1), 1-q^(-j-1), [(q;q)_0 .. (q;q)_j] and
-        [(bq;q)_0 .. (bq;q)_(j+1)].  Computed once per point, in mpf at
-        the precision of the first call."""
-        q, b, j = self.q, self.b, self.j
-        qj1 = q ** (j + 1)
-        return (1 - q ** j, qj1, 1 - b * qj1, 1 - q ** (-j - 1),
-                qpochs(q, q, j), qpochs(b * q, q, j + 1))
+        """Factors of the closed forms that no degree changes: 1-q^j,
+        1-bq^(j+1), 1-q^(-j-1), a^-1 b^-1 and [(bq;q)_0 .. (bq;q)_(j+1)]."""
+        pow, j = self.pow, self.j
+        return (1 - pow("q", j), 1 - self.b * pow("q", j + 1),
+                1 - pow("q", -j - 1), pow("a", -1) * pow("b", -1),
+                self.qpochs(self.b * self.q, j + 1))
 
     def as_dict(self) -> dict:
         out = {}
@@ -94,15 +115,15 @@ def lqj_coeff(n: int, s: int, params: QJacobiParams):
 def lqj_poly(n: int, params: QJacobiParams) -> LaurentPoly:
     """Monic little q-Jacobi polynomial sum_s B_n^(s) x^(n-s), each of the
     four q-Pochhammer products of ``lqj_coeff`` run once up to s = n."""
-    q, b, a = params.q, params.b, params.a
-    num_q, num_a, den_q, den_ab = (qpochs(x, q, n) for x in (
-        q ** (-n), a ** -1 * q ** (-n), q, a ** -1 * b ** -1 * q ** (-2 * n)))
+    pow, qp, q_n = params.pow, params.qpochs, params.pow("q", -n)
+    num_q, num_a, den_q, den_ab = qp(q_n, n), qp(pow("a", -1) * q_n, n), \
+        qp(params.q, n, "q"), qp(params.degree_free[3] * pow("q", -2 * n), n)
     coeffs = {}
     for s in range(n + 1):
         num = num_q[s] * num_a[s]
         den = _nonzero(den_q[s], f"(q;q)_{s}") * \
             _nonzero(den_ab[s], f"(1/(ab) q^-{2 * n};q)_{s}")
-        coeffs[n - s] = b ** (-s) * num / den
+        coeffs[n - s] = pow("b", -s) * num / den
     return LaurentPoly(coeffs)
 
 
@@ -153,15 +174,18 @@ def phi(n: int, params: QJacobiParams):
                   / [ (1-q^j) (q^(n+1);q)_j (bq^(n+1);q)_j ] ).
     """
     q, b, j, M = params.q, params.b, params.j, params.M
-    one_qj, qj1, one_bqj1, _, qq, bqq = params.degree_free
+    pow, qp = params.pow, params.qpochs
+    one_qj, one_bqj1, _, _, bqq = params.degree_free
     _nonzero(one_qj, "(1-q^j)")
-    den_j = _nonzero(qpoch(q ** (n + 1), q, j), f"(q^{n + 1};q)_{j}") * \
-        _nonzero(qpoch(b * q ** (n + 1), q, j), f"(bq^{n + 1};q)_{j}")
-    pref_den = _nonzero(qpoch(b * q ** (n + j + 1), q, n),
+    den_j = _nonzero(qp(pow("q", n + 1), j)[j], f"(q^{n + 1};q)_{j}") * \
+        _nonzero(qp(b * pow("q", n + 1), j)[j], f"(bq^{n + 1};q)_{j}")
+    pref_den = _nonzero(qp(b * pow("q", n + j + 1), n)[n],
                         f"(bq^{n + j + 1};q)_{n}")
     sign = 1 if n % 2 == 0 else -1
-    prefactor = sign * q ** (n * (n - 1) // 2) * qpoch(qj1, q, n) / pref_den
-    inner = M - q ** (n * j) * one_bqj1 * bqq[j] * qq[j] / (one_qj * den_j)
+    prefactor = sign * pow("q", n * (n - 1) // 2) * \
+        qp(pow("q", j + 1), n, "qj1")[n] / pref_den
+    inner = M - pow("q", n * j) * one_bqj1 * bqq[j] * qp(q, j, "q")[j] / \
+        (one_qj * den_j)
     return prefactor * inner
 
 
@@ -267,16 +291,19 @@ class RepCoeffTable:
 def lambda_q(n: int, params: QJacobiParams):
     """Eigenvalue lambda_n = A_n^(0) of the q-difference operator."""
     q, b, j, M = params.q, params.b, params.j, params.M
-    *_, one_qinv, qq, bqq = params.degree_free
-    t1 = M * (q - 1) * q ** (-n * (j + 1) - 1) * qpoch(q ** n, q, j + 1) * \
-        qpoch(b * q ** n, q, j + 1) / _nonzero(one_qinv, "(1-q^(-j-1))")
-    t2 = (q ** (-n) - 1) * (1 - b * q ** (n + j)) * bqq[j + 1] * qq[j - 1]
+    pow, qp = params.pow, params.qpochs
+    *_, one_qinv, _, bqq = params.degree_free
+    t1 = M * (q - 1) * pow("q", -n * (j + 1) - 1) * \
+        qp(pow("q", n), j + 1)[-1] * qp(b * pow("q", n), j + 1)[-1] / \
+        _nonzero(one_qinv, "(1-q^(-j-1))")
+    t2 = (pow("q", -n) - 1) * (1 - b * pow("q", n + j)) * bqq[j + 1] * \
+        qp(q, j - 1, "q")[-1]
     return t1 - t2
 
 
 def _paper_a1(n, params):
     q, b, j, M = params.q, params.b, params.j, params.M
-    *_, qq, bqq = params.degree_free
+    qq, bqq = params.qpochs(q, j - 1, "q"), params.degree_free[4]
     return (1 - q ** (-n)) * (
         M * q ** (j * (1 - n)) * qpoch(q ** (n + 1), q, j)
         * qpoch(b * q ** n, q, j) * (1 - q ** (n - 1))

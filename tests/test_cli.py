@@ -177,6 +177,20 @@ def test_verify_q_vanishing_phi0_factor_exits_two(n_max, capsys):
         "type": "DegenerateParameters"}
 
 
+@pytest.mark.parametrize("b, factor", [("1/8", "(bq^2;q)_2"),
+                                       ("1/16", "(bq^4;q)_1"),
+                                       ("1/32", "(bq^5;q)_2")])
+def test_verify_q_first_vanishing_phi_factor_is_named(b, factor, capsys):
+    # At q = 2, b = 2^-k the first Phi_n to degenerate names the factor:
+    # (bq^(n+1);q)_j at n = 1, then (bq^(n+j+1);q)_n at n = 1 and 2.
+    code, out = run_cli(["verify-q", "--q", "2", "--b", b, "--M", "1",
+                         "--n-max", "5"], capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "message": f"factor {factor} vanishes",
+        "type": "DegenerateParameters"}
+
+
 def test_limit_scan_small_grid_passes(capsys):
     code, out = run_cli(["limit-scan", "--beta", "1", "--M", "1",
                          "--n-max", "1", "--eps-list", "1e-2,1e-3"], capsys)

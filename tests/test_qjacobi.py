@@ -82,25 +82,32 @@ def test_monic():
         assert lqj_poly(n, P2).degree == n
 
 
-def scan_point(digits):
-    """The limit-scan point q = -e^eps, b = -e^(beta eps), j = 2 at
-    eps = 1e-3, beta = 1/2, M = -1/4, built at ``digits``."""
+def scan_point(digits, j=2):
+    """The limit-scan point q = -e^eps, b = -e^(beta eps) at eps = 1e-3,
+    beta = 1/2, M = -1/4 (j = 2 in limit-scan), built at ``digits``."""
     with working_precision(digits):
         eps = mpf("1e-3")
-        return QJacobiParams(q=-mp.exp(eps), b=-mp.exp(eps / 2), j=2,
+        return QJacobiParams(q=-mp.exp(eps), b=-mp.exp(eps / 2), j=j,
                              M=mpf(-1) / 4)
 
 
 @pytest.mark.parametrize("digits", [80, 110])
 def test_running_qpochs_match_qpoch(digits):
     # One pass must give each prefix product with the very operations a
-    # fresh qpoch would use: equal Fractions, and equal mpf bits.
+    # fresh qpoch would use: equal Fractions, and equal mpf bits, also
+    # when a run is extended in place.
     point = scan_point(digits)
     with working_precision(digits):
         cases = [(F(3, 7), F(2), 9), (F(-5, 2), F(1, 3), 6),
                  (point.q ** -7, point.q, 7), (point.b * point.q, point.q, 5)]
         for a, q, n in cases:
-            assert qpochs(a, q, n) == [qpoch(a, q, s) for s in range(n + 1)]
+            powers = [1]
+            for _ in range(n - 1):
+                powers.append(powers[-1] * q)
+            fresh = [qpoch(a, q, s) for s in range(n + 1)]
+            assert qpochs(a, powers) == fresh
+            run = qpochs(a, powers[:2])
+            assert qpochs(a, powers, run) is run and run == fresh
 
 
 @pytest.mark.parametrize("digits", [80, 110])
@@ -112,6 +119,74 @@ def test_one_pass_poly_matches_coefficients(digits):
                 poly = lqj_poly(n, params)
                 assert poly.coeffs == {n - s: lqj_coeff(n, s, params)
                                        for s in range(n + 1)}
+
+
+# The closed forms as written before the per-point memo, on exact_core.qpoch
+# alone: the memo must reproduce each value with the same operations.
+
+def fresh_phi(n, params):
+    q, b, j, M = params.q, params.b, params.j, params.M
+    den_j = qpoch(q ** (n + 1), q, j) * qpoch(b * q ** (n + 1), q, j)
+    sign = 1 if n % 2 == 0 else -1
+    prefactor = sign * q ** (n * (n - 1) // 2) * qpoch(q ** (j + 1), q, n) \
+        / qpoch(b * q ** (n + j + 1), q, n)
+    inner = M - q ** (n * j) * (1 - b * q ** (j + 1)) * qpoch(b * q, q, j) \
+        * qpoch(q, q, j) / ((1 - q ** j) * den_j)
+    return prefactor * inner
+
+
+def fresh_lqj_poly(n, params):
+    q, b, a = params.q, params.b, params.q ** params.j
+    return LaurentPoly({n - s: b ** (-s) * (
+        qpoch(q ** (-n), q, s) * qpoch(a ** -1 * q ** (-n), q, s)) / (
+        qpoch(q, q, s) * qpoch(a ** -1 * b ** -1 * q ** (-2 * n), q, s))
+        for s in range(n + 1)})
+
+
+def fresh_lambda_q(n, params):
+    q, b, j, M = params.q, params.b, params.j, params.M
+    t1 = M * (q - 1) * q ** (-n * (j + 1) - 1) * qpoch(q ** n, q, j + 1) * \
+        qpoch(b * q ** n, q, j + 1) / (1 - q ** (-j - 1))
+    t2 = (q ** (-n) - 1) * (1 - b * q ** (n + j)) * qpoch(b * q, q, j + 1) \
+        * qpoch(q, q, j - 1)
+    return t1 - t2
+
+
+@pytest.mark.parametrize("j", [1, 2, 3, 4])
+def test_memo_route_matches_fresh_formulas(j):
+    # Equal Fractions and equal mpf bits, whether a point's memo is filled
+    # from degree 0 up or from degree 7 down.
+    for make, digits in [(lambda: scan_point(80, j), 80),
+                         (lambda: scan_point(110, j), 110),
+                         (lambda: QJacobiParams(F(2), F(3), j, F(1, 7)), 30),
+                         (lambda: QJacobiParams(F(1, 2), F(1, 3), j, F(1, 5)),
+                          30)]:
+        with working_precision(digits):
+            up, down = make(), make()
+            for n in reversed(range(8)):
+                phi(n, down), lqj_poly(n, down), lambda_q(n, down)
+            for n in range(8):
+                expected = (fresh_phi(n, up), fresh_lqj_poly(n, up),
+                            fresh_lambda_q(n, up))
+                for point in (up, down):
+                    got = (phi(n, point), lqj_poly(n, point),
+                           lambda_q(n, point))
+                    assert got == expected, (j, digits, n)
+                    assert list(got[1].coeffs) == list(expected[1].coeffs)
+
+
+def test_memo_factors_of_phi_are_named():
+    # One vanishing factor of each per-degree q-Pochhammer product of phi.
+    # 1 - q^2 vanishes only in mpf: q^2 rounds to 1 at 15 digits.
+    with working_precision(80):
+        q = mpf(-1) + mpf(2) ** -200
+    cases = [(QJacobiParams(q, mpf(3), 1, mpf(1)), 1, "(q^2;q)_1"),
+             (QJacobiParams(F(2), F(1, 4), 2, F(1)), 1, "(bq^2;q)_2"),
+             (QJacobiParams(F(2), F(1, 32), 1, F(1)), 2, "(bq^4;q)_2")]
+    for params, n, factor in cases:
+        with working_precision(15), pytest.raises(DegenerateParameters) as err:
+            phi(n, params)
+        assert str(err.value) == f"factor {factor} vanishes"
 
 
 # -- three-term recurrence ----------------------------------------------------
