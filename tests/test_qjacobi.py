@@ -121,8 +121,8 @@ def test_one_pass_poly_matches_coefficients(digits):
                                        for s in range(n + 1)}
 
 
-# The closed forms as written before the per-point memo, on exact_core.qpoch
-# alone: the memo must reproduce each value with the same operations.
+# The closed forms written out on exact_core.qpoch alone, with no memo: the
+# memoized route must reproduce each value by the same operations.
 
 def fresh_phi(n, params):
     q, b, j, M = params.q, params.b, params.j, params.M
