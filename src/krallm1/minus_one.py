@@ -82,20 +82,26 @@ def lambda_tilde(n: int, params: MinusOneParams):
     return limit_rep_coeff(n, 0, params)
 
 
-def base_recurrence_m1(n: int, params: MinusOneParams):
-    """Recurrence data (u_n, b_n) of the untransformed limit family:
-
-    even n:  u_n = -n(n+2)/((2n+1+beta)(2n+3+beta)),          b_n = 1
-    odd  n:  u_n = -(n+beta)(n+2+beta)/((2n+1+beta)(2n+3+beta)), b_n = -1
-    """
+def _base_terms(n: int, params: MinusOneParams):
+    """u_n as an unreduced integer pair (numerator, denominator), and b_n."""
     p, q = params.beta.numerator, params.beta.denominator
     d1, d2 = (2 * n + 1) * q + p, (2 * n + 3) * q + p
     if d1 == 0 or d2 == 0:
         raise DegenerateParameters(
             f"(2n+1+beta)(2n+3+beta) vanishes at n={n}, beta={params.beta}")
     if n % 2 == 0:
-        return Fraction(-n * (n + 2) * q * q, d1 * d2), Fraction(1)
-    return Fraction(-(n * q + p) * ((n + 2) * q + p), d1 * d2), Fraction(-1)
+        return -n * (n + 2) * q * q, d1 * d2, 1
+    return -(n * q + p) * ((n + 2) * q + p), d1 * d2, -1
+
+
+def base_recurrence_m1(n: int, params: MinusOneParams):
+    """Recurrence data (u_n, b_n) of the untransformed limit family:
+
+    even n:  u_n = -n(n+2)/((2n+1+beta)(2n+3+beta)),          b_n = 1
+    odd  n:  u_n = -(n+beta)(n+2+beta)/((2n+1+beta)(2n+3+beta)), b_n = -1
+    """
+    num, den, b = _base_terms(n, params)
+    return Fraction(num, den), Fraction(b)
 
 
 def _divide_by_zero(dividend: Fraction):
@@ -103,20 +109,11 @@ def _divide_by_zero(dividend: Fraction):
     return dividend / 0
 
 
-def limit_B(n: int, params: MinusOneParams):
-    """Limit of the Geronimus ratio Phi_n/Phi_(n-1), parity-split:
-
-    even n:  (n+2)/(2n+1+beta)
-             * (M - (3+beta)(1+beta)/((n+2)(n+1+beta)))
-             / (M - (3+beta)(1+beta)/(n(n+1+beta)))
-    odd  n: -(n+2+beta)/(2n+1+beta)
-             * (M - (3+beta)(1+beta)/((n+1)(n+2+beta)))
-             / (M - (3+beta)(1+beta)/((n+1)(n+beta)))
-
-    Over beta = p/q, M = r/s, g = q^2 (3+beta)(1+beta), the brackets are
+def _limit_B_pair(n: int, params: MinusOneParams):
+    """limit_B(n) as an unreduced integer pair (numerator, denominator):
+    over beta = p/q, M = r/s, g = q^2 (3+beta)(1+beta), the brackets are
     (r q m e - s g)/(s q m e) above and (r q m' a - s g)/(s q m' a) below;
-    a vanishing factor raises as its Fraction division would, in order.
-    """
+    a vanishing factor raises as its Fraction division would, in order."""
     if n < 1:
         raise ValueError("Geronimus ratio needs n >= 1")
     p, q = params.beta.numerator, params.beta.denominator
@@ -138,7 +135,20 @@ def limit_B(n: int, params: MinusOneParams):
             n, f"M = (3+beta)(1+beta)/({where}) at n={n}")
     if c == 0 or e == 0:  # lead/(2n+1+beta), then g/(m e)
         _divide_by_zero(Fraction(lead, q) if c == 0 else Fraction(g, q * q))
-    return Fraction(top * (r * q * m * e - s * g), c * den)
+    return top * (r * q * m * e - s * g), c * den
+
+
+def limit_B(n: int, params: MinusOneParams):
+    """Limit of the Geronimus ratio Phi_n/Phi_(n-1), parity-split:
+
+    even n:  (n+2)/(2n+1+beta)
+             * (M - (3+beta)(1+beta)/((n+2)(n+1+beta)))
+             / (M - (3+beta)(1+beta)/(n(n+1+beta)))
+    odd  n: -(n+2+beta)/(2n+1+beta)
+             * (M - (3+beta)(1+beta)/((n+1)(n+2+beta)))
+             / (M - (3+beta)(1+beta)/((n+1)(n+beta)))
+    """
+    return Fraction(*_limit_B_pair(n, params))
 
 
 def transformed_recurrence_m1(n: int, params: MinusOneParams):
@@ -148,24 +158,29 @@ def transformed_recurrence_m1(n: int, params: MinusOneParams):
     u~_n = u_(n-1) B_n / B_(n-1) for n >= 2, with B_n = limit_B(n).
     u~_1 comes from the moment functional (<P~_1, P~_1>/<1, 1>): the
     q-side ratio Phi_1/Phi_0^2 carries an eps-dependent scale in the
-    limit, while the moment route is exact and parameter-uniform.
-    """
+    limit, while the moment route is exact and parameter-uniform:
+    u~_1 = b~_0^2 + (1 - 2 b~_0) mu_1/mu_0, mu_1/mu_0 = 2/(3+beta-2M).
+    Each term is an unreduced integer pair; each output is one Fraction."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
+    b = _base_terms(n, params)[2]
+    up, up_d = _limit_B_pair(n + 1, params)
+    cur, cur_d = _limit_B_pair(n, params) if n else (0, 1)
+    bn = Fraction(b * up_d * cur_d + up * cur_d - cur * up_d, up_d * cur_d)
     if n == 0:
-        b0 = base_recurrence_m1(0, params)[1] + limit_B(1, params)
-        return Fraction(0), b0
-    bn = base_recurrence_m1(n, params)[1] + limit_B(n + 1, params) - \
-        (b_n := limit_B(n, params))
+        return Fraction(0), bn
+    # mu_0 = 0 is B_1's lower bracket M - (3+beta)/2 = 0; B_(n-1) = 0 is
+    # n-1+beta = 0 or its upper bracket, B_n's lower, = 0: limit_B raised.
     if n == 1:
-        mu = moments(2, params)
-        b0 = base_recurrence_m1(0, params)[1] + b_n
-        u1 = (mu.mu(2) - 2 * b0 * mu.mu(1) + b0 * b0 * mu.mu(0)) / mu.mu(0)
-        return u1, bn
-    b_prev = limit_B(n - 1, params)
-    if b_prev == 0:
-        raise GeronimusDegenerate(n, f"limit of Phi_{n - 1}/Phi_{n - 2} is 0")
-    return base_recurrence_m1(n - 1, params)[0] * b_n / b_prev, bn
+        p, q = params.beta.as_integer_ratio()
+        r, s = params.M.as_integer_ratio()
+        w = s * (3 * q + p) - 2 * r * q  # mu_1/mu_0 = 2 q s / w
+        top = cur_d + cur  # b~_0 = 1 + B_1 = top/cur_d
+        return Fraction(top * top * w + 2 * q * s * (cur_d - 2 * top) * cur_d,
+                        w * cur_d * cur_d), bn
+    prev, prev_d = _limit_B_pair(n - 1, params)
+    u, u_d, _ = _base_terms(n - 1, params)
+    return Fraction(u * cur * prev_d, u_d * cur_d * prev), bn
 
 
 def family_rows(us, bs, count: int) -> list:

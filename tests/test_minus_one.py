@@ -137,7 +137,9 @@ def _limit_B_closed(n, params):
 
 def _transformed_closed(n, params):
     """transformed_recurrence_m1 over the closed forms, each B_n taken
-    wherever the formulas name it."""
+    wherever the formulas name it, u~_1 through moments(2).  The kernel
+    has no B_(n-1) = 0 branch: this oracle keeps it, so reaching it on the
+    grid fails the comparison."""
     if n == 0:
         return F(0), _base_closed(0, params)[1] + _limit_B_closed(1, params)
     bn = _base_closed(n, params)[1] + _limit_B_closed(n + 1, params) - \
@@ -167,7 +169,8 @@ def _outcome(fn, n, params):
 # integers at which n+beta, n+1+beta, n+2+beta or 2n+1+beta vanishes for
 # some n < 30; M from -1 to 2 with denominators <= 5, which meets the
 # Geronimus degeneracies M = (3+beta)(1+beta)/(n(n+1+beta)) and the zero
-# of mu_0.
+# of mu_0.  The links run to n = 53, as matrix-verify --n-max 24 reads
+# u~ and b~ up to index 52.
 GRID_BETAS = sorted({F(a, d) for d in range(1, 6) for a in range(-d, d + 1)}
                     | {F(-k) for k in (3, 5, 7, 29, 31, 59)})
 GRID_MS = [F(-1), F(-1, 5), F(0), F(1, 3), F(1), F(2)]
@@ -177,7 +180,7 @@ GRID_MS = [F(-1), F(-1, 5), F(0), F(1, 3), F(1), F(2)]
     (base_recurrence_m1, _base_closed, range(30), {DegenerateParameters}),
     (limit_B, _limit_B_closed, range(1, 30),
      {GeronimusDegenerate, ZeroDivisionError}),
-    (transformed_recurrence_m1, _transformed_closed, range(30),
+    (transformed_recurrence_m1, _transformed_closed, range(54),
      {DegenerateParameters, GeronimusDegenerate, ZeroDivisionError}),
 ], ids=["base_recurrence_m1", "limit_B", "transformed_recurrence_m1"])
 def test_integer_kernel_matches_closed_form(kernel, closed, degrees,
@@ -203,6 +206,66 @@ def test_limit_B_zero_division_sites():
         with pytest.raises(ZeroDivisionError,
                            match=re.escape(str(err.value))):
             limit_B(n, params)
+
+
+def _first_error(calls):
+    """_outcome of the first call in the list that raises, else None."""
+    for fn, n, params in calls:
+        outcome = _outcome(fn, n, params)
+        if outcome[0] != "value":
+            return outcome
+    return None
+
+
+# beta = a/d with d <= 2 and |beta| <= 30, n = 2 .. 25: wide enough to meet
+# each way a zero B_(n-1) or mu_0 can be pre-empted.
+ZERO_BETAS = sorted({F(a, d) for d in (1, 2)
+                     for a in range(-30 * d, 30 * d + 1)})
+
+
+def test_zero_B_prev_raises_at_B_n():
+    # B_(n-1)'s upper bracket M - g/((n+1)(n+beta)) (n odd) or
+    # M - g/(n(n+1+beta)) (n even) is B_n's lower one, so wherever
+    # limit_B(n-1) is 0, limit_B(n) raises GeronimusDegenerate at degree
+    # n, and the link raises before it divides by B_(n-1).
+    reasons = set()
+    for beta in ZERO_BETAS:
+        g = (3 + beta) * (1 + beta)
+        for n in range(2, 26):
+            fac = (n + 1) * (n + beta) if n % 2 else n * (n + 1 + beta)
+            if fac == 0:
+                continue
+            params = MinusOneParams(beta=beta, M=g / fac)
+            if _outcome(limit_B, n - 1, params) != ("value", 0):
+                continue
+            own = _outcome(limit_B, n, params)
+            assert own[0] is GeronimusDegenerate and own[2] == n
+            want = _first_error([(base_recurrence_m1, n, params),
+                                 (limit_B, n + 1, params)]) or own
+            assert _outcome(transformed_recurrence_m1, n, params) == want
+            reasons.add(want[0] if want != own else "B_n")
+    # Mostly B_n itself; at a few points base_recurrence_m1(n) or
+    # limit_B(n + 1) raises first.
+    assert reasons == {"B_n", DegenerateParameters, ZeroDivisionError}
+
+
+def test_zero_mu0_raises_at_B_1():
+    # mu_0 = 0 is M = (3+beta)/2, B_1's lower bracket
+    # M - (3+beta)(1+beta)/(2(1+beta)) = M - (3+beta)/2: the u~_1 division
+    # by mu_0 is never reached.
+    reasons = set()
+    for beta in ZERO_BETAS:
+        if beta == -3:
+            continue
+        params = MinusOneParams(beta=beta, M=(3 + beta) / 2)
+        assert moments(0, params).mu(0) == 0
+        own = _outcome(limit_B, 1, params)
+        assert own[0] in (GeronimusDegenerate, ZeroDivisionError)
+        want = _first_error([(base_recurrence_m1, 1, params),
+                             (limit_B, 2, params)]) or own
+        assert _outcome(transformed_recurrence_m1, 1, params) == want
+        reasons.add(want[0] if want != own else own[:1] + own[2:])
+    assert (GeronimusDegenerate, 1) in reasons
 
 
 def _family_by_laurent(us, bs, count):
