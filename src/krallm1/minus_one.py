@@ -84,7 +84,7 @@ def lambda_tilde(n: int, params: MinusOneParams):
 
 def _base_terms(n: int, params: MinusOneParams):
     """u_n as an unreduced integer pair (numerator, denominator), and b_n."""
-    p, q = params.beta.numerator, params.beta.denominator
+    p, q = params.beta.as_integer_ratio()
     d1, d2 = (2 * n + 1) * q + p, (2 * n + 3) * q + p
     if d1 == 0 or d2 == 0:
         raise DegenerateParameters(
@@ -116,8 +116,8 @@ def _limit_B_pair(n: int, params: MinusOneParams):
     a vanishing factor raises as its Fraction division would, in order."""
     if n < 1:
         raise ValueError("Geronimus ratio needs n >= 1")
-    p, q = params.beta.numerator, params.beta.denominator
-    r, s = params.M.numerator, params.M.denominator
+    p, q = params.beta.as_integer_ratio()
+    r, s = params.M.as_integer_ratio()
     g, c = (3 * q + p) * (q + p), (2 * n + 1) * q + p
     if n % 2 == 0:
         a = e = (n + 1) * q + p  # q(n+1+beta)
