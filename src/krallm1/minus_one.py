@@ -165,7 +165,7 @@ def transformed_recurrence_m1(n: int, params: MinusOneParams):
         raise ValueError("degree must be nonnegative")
     b = _base_terms(n, params)[2]
     up, up_d = _limit_B_pair(n + 1, params)
-    cur, cur_d = _limit_B_pair(n, params) if n else (0, 1)
+    cur, cur_d = _limit_B_pair(n, params) if n else (0, 1)  # no B_0 term
     bn = Fraction(b * up_d * cur_d + up * cur_d - cur * up_d, up_d * cur_d)
     if n == 0:
         return Fraction(0), bn

@@ -264,7 +264,7 @@ def test_zero_mu0_raises_at_B_1():
         want = _first_error([(base_recurrence_m1, 1, params),
                              (limit_B, 2, params)]) or own
         assert _outcome(transformed_recurrence_m1, 1, params) == want
-        reasons.add(want[0] if want != own else own[:1] + own[2:])
+        reasons.add((want[0], want[2]))
     assert (GeronimusDegenerate, 1) in reasons
 
 
