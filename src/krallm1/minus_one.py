@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from mpmath import mp, mpf
 
@@ -23,7 +24,7 @@ from .errors import (DegenerateParameters, GeronimusDegenerate,
                      InsufficientMoments, IntegrabilityError,
                      NonPolynomialOutput)
 from .exact_core import (DEFAULT_PRECISION, LaurentPoly, format_float,
-                         format_rational, poch, to_mpf, working_precision)
+                         format_rational, to_mpf, working_precision)
 from .qjacobi import QJacobiParams, rep_coeff_reconstruct
 from .report import CheckResult, VerificationReport
 
@@ -360,18 +361,20 @@ class MomentSequence:
 
 
 def moments(N: int, params: MinusOneParams) -> MomentSequence:
-    """Exact moment sequence mu_0 .. mu_N."""
+    """Exact moment sequence mu_0 .. mu_N.  The (1)_n/(beta/2+3/2)_n are
+    one running product, step n/(beta/2+1/2+n) = 2qn/(p+q+2qn), beta = p/q."""
     beta, M = params.beta, params.M
     if 3 + beta == 0:
         raise DegenerateParameters("(3+beta) vanishes")
-    half = params.beta / 2 + Fraction(3, 2)
-    values = [1 - 2 * M / (3 + beta)]
+    p, q = beta.as_integer_ratio()
+    values, mu = [1 - 2 * M / (3 + beta)], Fraction(1)
     for n in range(1, (N + 1) // 2 + 1):  # mu_(2n-1) = mu_(2n)
-        den = poch(half, n)
-        if den == 0:
+        step = p + q + 2 * q * n  # 0 at the first n with (beta/2+3/2)_n = 0
+        if step == 0:
             raise DegenerateParameters(
                 f"(beta/2+3/2)_{n} vanishes at beta={beta}")
-        values += [Fraction(poch(Fraction(1), n)) / den] * 2
+        mu *= Fraction(2 * q * n, step)
+        values += [mu] * 2
     return MomentSequence(values[:N + 1])
 
 
@@ -390,21 +393,36 @@ def inner_product(p: LaurentPoly, r: LaurentPoly,
 def family_gram(family: list, momseq: MomentSequence) -> list:
     """Gram matrix <p_i, p_j> of a family under the moment functional.
 
-    Row i takes the moment vector m_i[k] = <p_i, x^k> = sum_d p_(i,d)
-    mu_(d+k) once, then G[i][j] = sum_d p_(j,d) m_i[d] for j <= i, mirrored
-    above: O(N^3) for N polynomials of degree < N, not O(N^4) pairwise.
+    Each p_i is taken as integer coefficients over one denominator d_i, and
+    the moments it reads as integers over their lcm D.  Row i takes the
+    moment vector m_i[k] = <p_i, x^k> = sum_d p_(i,d) mu_(d+k) once, then
+    G[i][j] = sum_d p_(j,d) m_i[d] for j <= i, mirrored above, both sums on
+    integers: O(N^3) for N polynomials of degree < N, not O(N^4) pairwise,
+    and one Fraction(G[i][j], d_i d_j D) per cell.
     """
     if not all(p.is_proper for p in family):
         raise ValueError("moment functional acts on proper polynomials")
+    rows, dens = [], []  # integer coefficients, lowest degree first
+    for p in family:
+        dens.append(lcm(*(c.denominator for c in p.coeffs.values())))
+        rows.append([0] * (p.degree + 1))
+        for d, c in p.coeffs.items():
+            rows[-1][d] = c.numerator * (dens[-1] // c.denominator)
+    size = max(2 * max(map(len, rows), default=0) - 1, 0)
+    if size > len(momseq.values):
+        momseq.mu(len(momseq.values))  # raises InsufficientMoments
+    mus = momseq.values[:size]
+    big_d = lcm(*(mu.denominator for mu in mus))
+    ints = [mu.numerator * (big_d // mu.denominator) for mu in mus]
     gram = [[None] * len(family) for _ in family]
     top = -1
-    for i, p in enumerate(family):
-        top = max(top, p.degree)
-        m_i = [sum(c * momseq.mu(d + k) for d, c in p.coeffs.items())
+    for i, row in enumerate(rows):
+        top = max(top, len(row) - 1)
+        m_i = [sum(map(mul, row, ints[k:k + len(row)]))
                for k in range(top + 1)]
         for j in range(i + 1):
-            gram[i][j] = gram[j][i] = sum(
-                c * m_i[d] for d, c in family[j].coeffs.items())
+            gram[i][j] = gram[j][i] = Fraction(
+                sum(map(mul, rows[j], m_i)), dens[i] * dens[j] * big_d)
     return gram
 
 
@@ -417,25 +435,37 @@ def gram_matrix(N: int, params: MinusOneParams) -> list:
 def hankel_dets(N: int, params: MinusOneParams) -> list:
     """Exact Hankel determinants det(mu_(i+j))_(0..m) for m = 0 .. N.
 
-    All positive <=> the moment functional is positive definite.  One
-    elimination of H_N without row swaps gives det H_m as the product of
-    the first m+1 pivots, O(N^3) in all.  From the first zero pivot on
-    (det H_m = 0, as H_1 at M = (1+beta)/2), each order falls back to its
-    own elimination with row swaps, _det_fraction.
+    All positive <=> the moment functional is positive definite.  The
+    Chebyshev algorithm (Gautschi 2004, sec. 2.1) on mu_0 .. mu_2N gives
+    the norms sigma_(k,k) = det H_k / det H_(k-1), so det H_m is the
+    running product of the first m+1, O(N^2) in all: sigma_(0,l) = mu_l,
+    sigma_(k+1,l) = sigma_(k,l+1) - a_k sigma_(k,l) - b_k sigma_(k-1,l)
+    with a_k = sigma_(k,k+1)/sigma_(k,k) - sigma_(k-1,k)/sigma_(k-1,k-1)
+    and b_k = sigma_(k,k)/sigma_(k-1,k-1).  Row k is integers R over one
+    denominator d and row k-1 integers L, so a_k and b_k cancel into
+    sigma_(k+1,l) = (R_k L_(k-1) R_(l+1) - (R_(k+1) L_(k-1) - L_k R_k) R_l
+    - R_k^2 L_l) / (R_k L_(k-1) d), reduced by its gcd.  From the first
+    zero norm on (det H_m = 0, as H_1 at M = (1+beta)/2), each order falls
+    back to its own elimination with row swaps, _det_fraction.
     """
-    momseq = moments(2 * N, params)
-    hankel = [[momseq.mu(i + j) for j in range(N + 1)] for i in range(N + 1)]
-    work, out = [row[:] for row in hankel], []
-    for col, row in enumerate(work):
-        if row[col] == 0:
+    mu = moments(2 * N, params).values
+    den = lcm(*(m.denominator for m in mu))
+    row = [m.numerator * (den // m.denominator) for m in mu]
+    lower, pivot, out = [0] * len(mu), 1, []  # L, L_(k-1) (1 at k = 0)
+    for k in range(N + 1):
+        if row[k] == 0:
             break
-        out.append(row[col] * (out[-1] if out else 1))
-        # The trailing block is symmetric: row[r] stands for work[r][col].
-        for r in range(col + 1, N + 1):
-            factor = row[r] / row[col]
-            for c in range(r, N + 1):
-                work[r][c] -= factor * row[c]
-    return out + [_det_fraction([row[:m + 1] for row in hankel[:m + 1]])
+        out.append(Fraction(row[k], den) * (out[-1] if out else 1))
+        if k == N:
+            break
+        a_den, a_num = row[k] * pivot, row[k + 1] * pivot - lower[k] * row[k]
+        b_num = row[k] * row[k]
+        new = [a_den * row[l + 1] - a_num * row[l] - b_num * lower[l]
+               for l in range(k + 1, 2 * N - k)]
+        g = gcd(a_den * den, *new)
+        lower, pivot, row, den = (row, row[k], [0] * (k + 1)
+                                  + [v // g for v in new], a_den * den // g)
+    return out + [_det_fraction([mu[i:i + m + 1] for i in range(m + 1)])
                   for m in range(len(out), N + 1)]
 
 
