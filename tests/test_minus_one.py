@@ -19,7 +19,9 @@ from krallm1 import (DegenerateParameters, GeronimusDegenerate,
                      moments, point_mass, quadrature_moment_check,
                      transformed_recurrence_m1, weight_density,
                      working_precision)
-from krallm1.minus_one import (_det_fraction, btilde0_closed,
+from krallm1 import minus_one
+from krallm1.exact_core import poch
+from krallm1.minus_one import (MomentSequence, _det_fraction, btilde0_closed,
                                explicit_eigenvalue, explicit_solution,
                                family_from_chain)
 from conftest import rand_fraction, random_m1_params
@@ -445,6 +447,51 @@ def test_moment_degenerate_beta():
         moments(2, MinusOneParams(beta=F(-3), M=F(0)))
 
 
+def _poch_moments(N, params):
+    """mu_0 .. mu_N with two Pochhammer symbols per even moment, the
+    closed form mu_(2n) = mu_(2n-1) = (1)_n / (beta/2+3/2)_n as stated."""
+    beta, M = params.beta, params.M
+    if 3 + beta == 0:
+        raise DegenerateParameters("(3+beta) vanishes")
+    half = beta / 2 + F(3, 2)
+    values = [1 - 2 * M / (3 + beta)]
+    for n in range(1, (N + 1) // 2 + 1):
+        den = poch(half, n)
+        if den == 0:
+            raise DegenerateParameters(
+                f"(beta/2+3/2)_{n} vanishes at beta={beta}")
+        values += [F(poch(F(1), n)) / den] * 2
+    return values[:N + 1]
+
+
+@pytest.mark.parametrize("beta", [F(1), F(1, 2), F(-1, 3), F(-13, 4),
+                                  F(7, 3), F(29, 2), F(-5), F(-7), F(-9)])
+def test_running_product_moments_match_poch_form(beta):
+    # beta = -5, -7, -9 make (beta/2+3/2)_n vanish first at n = 2, 3, 4:
+    # the running product raises the same message at the same N.
+    params = MinusOneParams(beta=beta, M=F(-2, 7))
+    try:  # each shorter closed-form sequence is a prefix of this one
+        full = _poch_moments(60, params)
+    except DegenerateParameters:
+        full = None
+    for N in range(61):
+        try:
+            want = full[:N + 1] if full else _poch_moments(N, params)
+        except DegenerateParameters as exc:
+            with pytest.raises(DegenerateParameters) as got:
+                moments(N, params)
+            assert str(got.value) == str(exc)
+            continue
+        assert moments(N, params).values == want, (beta, N)
+    if beta.denominator == 1 and beta <= -5:
+        n = int(-beta - 1) // 2
+        with pytest.raises(DegenerateParameters,
+                           match=re.escape(f"(beta/2+3/2)_{n} vanishes "
+                                           f"at beta={beta}")):
+            moments(2 * n - 1, params)
+        assert len(moments(2 * n - 2, params).values) == 2 * n - 1
+
+
 def test_inner_product_unit():
     seq = moments(4, STD)
     assert inner_product(LaurentPoly.one(), LaurentPoly.one(), seq) == F(3, 2)
@@ -502,6 +549,43 @@ def test_family_gram_matches_pairwise_inner_products(rng):
                  for i in range(degree + 1)]
 
 
+def test_family_gram_integer_rows_of_odd_families(rng):
+    # int-typed coefficients, coefficients over mixed denominators, gaps
+    # in the degrees and the zero polynomial (whose denominator is the
+    # lcm of nothing, 1), against the pairwise inner products.
+    seq = moments(12, HALF)
+    families = [
+        [LaurentPoly({0: 2, 2: -3}), LaurentPoly({1: 5}), LaurentPoly.one()],
+        [LaurentPoly({0: F(1, 3), 1: F(-5, 7), 3: F(2, 9)}),
+         LaurentPoly({2: F(11, 4), 5: F(-1, 6)}),
+         LaurentPoly({6: F(3, 10), 0: 4})],
+        [LaurentPoly.zero(), LaurentPoly({1: F(1, 2)}), LaurentPoly.zero()],
+        [LaurentPoly.zero()],
+        [],
+        [LaurentPoly({d: rand_fraction(rng, max_den=30) for d in range(k)})
+         for k in range(7)],
+    ]
+    for family in families:
+        gram = family_gram(family, seq)
+        assert gram == [[inner_product(p, r, seq) for r in family]
+                        for p in family]
+        assert all(type(v) is F for row in gram for v in row)
+
+
+def test_family_gram_needs_moments():
+    # Degree 3 reads mu_6; the message names the first moment beyond the
+    # stored range, as the moment-by-moment sum did.
+    seq = moments(5, HALF)
+    family = [LaurentPoly.one(), LaurentPoly.monomial(3), LaurentPoly.x()]
+    with pytest.raises(InsufficientMoments,
+                       match=re.escape("moment 6 beyond stored range 5")):
+        family_gram(family, seq)
+    assert family_gram(family[:1] + family[2:], seq) == \
+        [[seq.mu(0), seq.mu(1)], [seq.mu(1), seq.mu(2)]]
+    with pytest.raises(InsufficientMoments):
+        family_gram([LaurentPoly.one()], MomentSequence([]))
+
+
 def _hankel_oracle(N, params):
     """One determinant per order, each by its own elimination."""
     seq = moments(2 * N, params)
@@ -509,14 +593,28 @@ def _hankel_oracle(N, params):
                            for i in range(m + 1)]) for m in range(N + 1)]
 
 
-def test_hankel_dets_match_per_order_determinants(rng):
-    # Random points with beta > 0 > M are positive definite; (1, 3/4) is
-    # indefinite; at (1, 1) and (3, 2), M = (1+beta)/2 makes H_1 vanish,
-    # so the orders from 1 on take the per-order fallback.
+def _count_fallbacks(monkeypatch):
+    """Record the order of each per-order determinant hankel_dets takes."""
+    orders, det = [], minus_one._det_fraction
+    monkeypatch.setattr(minus_one, "_det_fraction",
+                        lambda mat: orders.append(len(mat) - 1) or det(mat))
+    return orders
+
+
+def test_hankel_dets_match_per_order_determinants(rng, monkeypatch):
+    # Random points with beta > 0 > M are positive definite, checked to
+    # order 30 with no fallback taken; (1, 3/4) is indefinite; at (1, 1)
+    # and (3, 2), M = (1+beta)/2 makes H_1 vanish, so the orders from 1 on
+    # take the per-order fallback.
+    fallbacks = _count_fallbacks(monkeypatch)
     positive = [MinusOneParams(beta=rand_fraction(rng, 1, 4),
                                M=-rand_fraction(rng, 1, 2)) for _ in range(3)]
     for params in positive:
-        assert all(d > 0 for d in hankel_dets(8, params))
+        assert all(d > 0 for d in hankel_dets(30, params))
+        assert fallbacks == []
+        oracle = _hankel_oracle(30, params)
+        for N in range(31):
+            assert hankel_dets(N, params) == oracle[:N + 1]
     for params in positive + [MinusOneParams(beta=F(1), M=F(3, 4)),
                               DEGEN, MinusOneParams(beta=F(3), M=F(2))]:
         oracle = _hankel_oracle(8, params)
@@ -524,6 +622,37 @@ def test_hankel_dets_match_per_order_determinants(rng):
             assert hankel_dets(N, params) == oracle[:N + 1]
     assert hankel_dets(5, DEGEN) == [F(1, 2), 0, F(-1, 72), F(-1, 2592),
                                      F(-7, 3110400), F(-1, 373248000)]
+
+
+def _zero_minor_point(beta, k):
+    """The M at which det H_k = 0.  mu_0 enters only the corner of H_k,
+    so det H_k is affine in mu_0, and mu_0 = 1 - 2M/(3+beta)."""
+    mu = moments(2 * k, MinusOneParams(beta=beta, M=F(0))).values
+
+    def det_at(mu0):
+        row = [mu0] + mu[1:]
+        return _det_fraction([row[i:i + k + 1] for i in range(k + 1)])
+
+    base, slope = det_at(F(0)), det_at(F(1)) - det_at(F(0))
+    assert slope != 0
+    return MinusOneParams(beta=beta, M=(1 + base / slope) * (3 + beta) / 2)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_hankel_fallback_from_a_zero_minor_past_order_1(k, monkeypatch):
+    # H_0 .. H_(k-1) are nonzero, so the Chebyshev norms run to order k-1
+    # and exactly the orders from k on take the per-order fallback.
+    fallbacks = _count_fallbacks(monkeypatch)
+    for beta in (F(1, 2), F(7, 3), F(3), F(-1, 3)):
+        params = _zero_minor_point(beta, k)
+        oracle = _hankel_oracle(k + 3, params)
+        assert oracle[k] == 0 and all(d != 0 for d in oracle[:k])
+        for N in range(k + 4):
+            fallbacks.clear()
+            assert hankel_dets(N, params) == oracle[:N + 1], (beta, k, N)
+            assert fallbacks == list(range(k, N + 1))
+    assert _zero_minor_point(F(1), k).M == {2: F(1, 2), 3: F(1, 3),
+                                            4: F(2, 9)}[k]
 
 
 def test_hankel_detects_indefinite_point():
