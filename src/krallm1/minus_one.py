@@ -441,30 +441,24 @@ def hankel_dets(N: int, params: MinusOneParams) -> list:
     running product of the first m+1, O(N^2) in all: sigma_(0,l) = mu_l,
     sigma_(k+1,l) = sigma_(k,l+1) - a_k sigma_(k,l) - b_k sigma_(k-1,l)
     with a_k = sigma_(k,k+1)/sigma_(k,k) - sigma_(k-1,k)/sigma_(k-1,k-1)
-    and b_k = sigma_(k,k)/sigma_(k-1,k-1).  Row k is integers R over one
-    denominator d and row k-1 integers L, so a_k and b_k cancel into
-    sigma_(k+1,l) = (R_k L_(k-1) R_(l+1) - (R_(k+1) L_(k-1) - L_k R_k) R_l
-    - R_k^2 L_l) / (R_k L_(k-1) d), reduced by its gcd.  From the first
-    zero norm on (det H_m = 0, as H_1 at M = (1+beta)/2), each order falls
-    back to its own elimination with row swaps, _det_fraction.
+    and b_k = sigma_(k,k)/sigma_(k-1,k-1).  From the first zero norm on
+    (det H_m = 0, as H_1 at M = (1+beta)/2), each order falls back to its
+    own elimination with row swaps, _det_fraction.
     """
     mu = moments(2 * N, params).values
-    den = lcm(*(m.denominator for m in mu))
-    row = [m.numerator * (den // m.denominator) for m in mu]
-    lower, pivot, out = [0] * len(mu), 1, []  # L, L_(k-1) (1 at k = 0)
+    out, lower, row = [], [0] * len(mu), mu  # sigma_(k-1,l), sigma_(k,l)
     for k in range(N + 1):
-        if row[k] == 0:
+        norm = row[k]
+        if norm == 0:
             break
-        out.append(Fraction(row[k], den) * (out[-1] if out else 1))
+        out.append(norm * out[-1] if out else norm)
         if k == N:
             break
-        a_den, a_num = row[k] * pivot, row[k + 1] * pivot - lower[k] * row[k]
-        b_num = row[k] * row[k]
-        new = [a_den * row[l + 1] - a_num * row[l] - b_num * lower[l]
-               for l in range(k + 1, 2 * N - k)]
-        g = gcd(a_den * den, *new)
-        lower, pivot, row, den = (row, row[k], [0] * (k + 1)
-                                  + [v // g for v in new], a_den * den // g)
+        a = row[k + 1] / norm - (lower[k] / lower[k - 1] if k else 0)
+        b = norm / lower[k - 1] if k else 0
+        lower, row = row, [0] * (k + 1) + [
+            row[l + 1] - a * row[l] - b * lower[l]
+            for l in range(k + 1, 2 * N - k)]
     return out + [_det_fraction([mu[i:i + m + 1] for i in range(m + 1)])
                   for m in range(len(out), N + 1)]
 
